@@ -149,7 +149,7 @@ pub const INLINE_NODES: usize = 16;
 ///
 /// Invariant: `len ≤ INLINE_NODES` ⇒ elements live in `inline` and
 /// `spill` is empty; otherwise *all* elements live in `spill`.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct NodeVec {
     inline: [NodeConfig; INLINE_NODES],
     len: usize,
@@ -202,6 +202,25 @@ impl NodeVec {
         } else {
             &mut self.spill
         }
+    }
+}
+
+impl Clone for NodeVec {
+    fn clone(&self) -> Self {
+        Self { inline: self.inline, len: self.len, spill: self.spill.clone() }
+    }
+
+    /// Copies only the live configurations into `self`'s existing
+    /// storage — the exhaustive sweep refills a reused point buffer this
+    /// way, so a 2-node point costs two node copies, not sixteen.
+    fn clone_from(&mut self, source: &Self) {
+        if source.len <= INLINE_NODES {
+            self.inline[..source.len].copy_from_slice(&source.inline[..source.len]);
+            self.spill.clear();
+        } else {
+            self.spill.clone_from(&source.spill);
+        }
+        self.len = source.len;
     }
 }
 
@@ -258,12 +277,38 @@ impl<'a> IntoIterator for &'a NodeVec {
 }
 
 /// A full design point: the paper's `(χmac, χnode(1..N))`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct DesignPoint {
     /// MAC configuration.
     pub mac: Ieee802154Config,
     /// Per-node configurations (inline up to [`INLINE_NODES`] nodes).
     pub nodes: NodeVec,
+}
+
+impl Clone for DesignPoint {
+    fn clone(&self) -> Self {
+        Self { mac: self.mac, nodes: self.nodes.clone() }
+    }
+
+    /// Field-wise, so the node copy goes through [`NodeVec`]'s
+    /// live-entries-only `clone_from`.
+    fn clone_from(&mut self, source: &Self) {
+        self.mac = source.mac;
+        self.nodes.clone_from(&source.nodes);
+    }
+}
+
+/// Digit significance of a mixed-radix enumeration over the pick
+/// dimensions of [`DesignSpace::dimension_radices`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DigitOrder {
+    /// First dimension (the payload) fastest: [`DesignSpace::point_at`]'s
+    /// canonical order.
+    FirstFastest,
+    /// Last dimension (the final node's fµC) fastest: axis-major order,
+    /// in which consecutive points share the MAC configuration and every
+    /// node but the last for runs of `|CR| × |fµC|` points.
+    LastFastest,
 }
 
 /// The discrete configuration space explored by the DSE.
@@ -321,13 +366,21 @@ impl DesignSpace {
     }
 
     /// Total number of configurations:
-    /// `(|CR| · |fµC|)^N · |Lpayload| · |(SFO, BCO)|`.
+    /// `(|CR| · |fµC|)^N · |Lpayload| · |(SFO, BCO)|`, saturated at
+    /// `u128::MAX`.
+    ///
+    /// The count outgrows `u128` from 19 case-study nodes on; such a
+    /// space reports `u128::MAX`, so read the result as "at least this
+    /// many". Saturating rather than wrapping keeps an enumeration limit
+    /// check and [`DesignSpace::point_at`]'s index bound honest.
     #[must_use]
     pub fn cardinality(&self) -> u128 {
         let per_node = (self.cr_values.len() * self.f_mcu_values.len()) as u128;
-        per_node.pow(self.num_nodes() as u32)
-            * self.payload_values.len() as u128
-            * self.order_pairs.len() as u128
+        let nodes = u32::try_from(self.num_nodes()).unwrap_or(u32::MAX);
+        per_node
+            .saturating_pow(nodes)
+            .saturating_mul(self.payload_values.len() as u128)
+            .saturating_mul(self.order_pairs.len() as u128)
     }
 
     /// Materializes a design point from index choices.
@@ -374,14 +427,61 @@ impl DesignSpace {
     /// pair, then `(CR, fµC)` per node.
     #[must_use]
     pub fn dimension_radices(&self) -> Vec<usize> {
-        let mut radices = Vec::with_capacity(2 + 2 * self.num_nodes());
-        radices.push(self.payload_values.len());
-        radices.push(self.order_pairs.len());
-        for _ in 0..self.num_nodes() {
-            radices.push(self.cr_values.len());
-            radices.push(self.f_mcu_values.len());
+        (0..2 + 2 * self.num_nodes()).map(|dim| self.radix(dim)).collect()
+    }
+
+    /// Size of pick dimension `dim` (see [`DesignSpace::dimension_radices`]).
+    fn radix(&self, dim: usize) -> usize {
+        match dim {
+            0 => self.payload_values.len(),
+            1 => self.order_pairs.len(),
+            d if d % 2 == 0 => self.cr_values.len(),
+            _ => self.f_mcu_values.len(),
         }
-        radices
+    }
+
+    /// Writes pick `digit` of dimension `dim` into `point`, leaving every
+    /// other field alone.
+    fn write_pick(&self, point: &mut DesignPoint, dim: usize, digit: usize) {
+        match dim {
+            0 => point.mac.payload_bytes = self.payload_values[digit],
+            1 => (point.mac.sfo, point.mac.bco) = self.order_pairs[digit],
+            d if d % 2 == 0 => point.nodes[d / 2 - 1].cr = self.cr_values[digit],
+            d => point.nodes[d / 2 - 1].f_mcu = self.f_mcu_values[digit],
+        }
+    }
+
+    /// Odometer step: moves `point` in place to the next index of the
+    /// mixed-radix enumeration in `order`.
+    ///
+    /// `digits` holds `point`'s pick digits, one per dimension in
+    /// [`DesignSpace::dimension_radices`] order; start from all zeros
+    /// with `point_at(0)`. A step is a carry chain — no division — and
+    /// rewrites only the fields whose digit changed, so a sequential
+    /// sweep pays for the one or two picks that roll rather than for a
+    /// full decode. Returns `false` when the step wrapped from the last
+    /// index back to index 0.
+    pub fn step_point(
+        &self,
+        point: &mut DesignPoint,
+        digits: &mut [usize],
+        order: DigitOrder,
+    ) -> bool {
+        let dims = digits.len();
+        for k in 0..dims {
+            let dim = match order {
+                DigitOrder::FirstFastest => k,
+                DigitOrder::LastFastest => dims - 1 - k,
+            };
+            let next = digits[dim] + 1;
+            let carry = next == self.radix(dim);
+            digits[dim] = if carry { 0 } else { next };
+            self.write_pick(point, dim, digits[dim]);
+            if !carry {
+                return true;
+            }
+        }
+        false
     }
 
     /// Materializes the `index`-th design point of the mixed-radix
@@ -537,6 +637,18 @@ mod tests {
         assert!(space.cardinality() > 10_000_000, "got {}", space.cardinality());
     }
 
+    /// Counts past `u128` saturate instead of wrapping (which made
+    /// `case_study(24)` report fewer points than `case_study(19)`).
+    #[test]
+    fn cardinality_saturates_instead_of_wrapping() {
+        assert_eq!(DesignSpace::case_study(18).cardinality(), 88u128.pow(18) * 105);
+        assert_eq!(DesignSpace::case_study(19).cardinality(), u128::MAX);
+        assert_eq!(DesignSpace::case_study(24).cardinality(), u128::MAX);
+        let mut empty = DesignSpace::case_study(24);
+        empty.payload_values.clear();
+        assert_eq!(empty.cardinality(), 0, "an empty axis empties the space");
+    }
+
     #[test]
     fn cr_grid_covers_paper_range() {
         let space = DesignSpace::case_study(6);
@@ -658,6 +770,23 @@ mod tests {
         let short: NodeVec = reference[..3].iter().copied().collect();
         assert_eq!(&short[..], &reference[..3]);
         assert_ne!(short, small);
+    }
+
+    /// `clone_from` reuses the destination's storage but must leave the
+    /// same value as `clone`, across inline/spilled shape changes.
+    #[test]
+    fn clone_from_equals_clone_across_shapes() {
+        let narrow = DesignSpace::case_study(2).point_with(|n| n - 1);
+        let wide = DesignSpace::case_study(INLINE_NODES + 3).point_with(|_| 0);
+        for (mut dst, src) in [
+            (wide.clone(), narrow.clone()),
+            (narrow.clone(), wide.clone()),
+            (narrow.clone(), DesignSpace::case_study(2).point_with(|_| 0)),
+        ] {
+            dst.clone_from(&src);
+            assert_eq!(dst, src);
+            assert_eq!(dst.nodes.len(), src.nodes.len());
+        }
     }
 
     #[test]

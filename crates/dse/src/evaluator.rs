@@ -8,11 +8,12 @@
 //!
 //! Both model-backed evaluators override [`Evaluator::evaluate_batch`]
 //! with a parallel implementation whose per-worker engine is the
-//! struct-of-arrays kernel (`wbsn_model::soa`), **keyed on the batch's
-//! node count**: narrow networks (the ≈6-node case study) run the
-//! straight per-point [`WbsnModel::evaluate_objectives_batch`] walk,
-//! while wide deployments (≥ [`GROUPED_MIN_NODES`] nodes) run the
-//! MAC-grouped [`WbsnModel::evaluate_objectives_batch_grouped`] variant
+//! struct-of-arrays kernel (`wbsn_model::soa`), **keyed on node count**
+//! per homogeneous run of the batch: narrow networks (the ≈6-node case
+//! study) run the straight per-point
+//! [`WbsnModel::evaluate_objectives_batch`] walk, while wide
+//! deployments (≥ [`GROUPED_MIN_NODES`] nodes) run the MAC-grouped
+//! [`WbsnModel::evaluate_objectives_batch_grouped`] variant
 //! whose transposed `node × point` tiles only pay off once networks are
 //! wide enough to amortize the permutation. Both run through interned
 //! dense node/MAC tables held in a pooled [`SoaScratch`]. Small batches
@@ -166,11 +167,12 @@ struct ModelPools {
 }
 
 /// Order-preserving parallel batch evaluation through the `SoA` kernel:
-/// the batch is cut into [`SOA_CHUNK`]-point chunks, each worker runs
-/// whole chunks through a pooled [`SoaScratch`] and projects the
-/// per-point outcomes with `project`. The per-chunk engine is keyed on
-/// the batch's node count (first point) — ungrouped walk below
-/// [`GROUPED_MIN_NODES`], MAC-grouped transposition at or above it.
+/// the batch is split into homogeneous node-count runs, each run cut
+/// into [`SOA_CHUNK`]-point chunks, and each worker runs whole chunks
+/// through a pooled [`SoaScratch`] and projects the per-point outcomes
+/// with `project`. The engine is keyed per run on its node count —
+/// ungrouped walk below [`GROUPED_MIN_NODES`], MAC-grouped
+/// transposition at or above it — never on the batch's first point.
 /// Falls back to the scalar [`WbsnModel::evaluate_objectives`]
 /// per-point path for batches too small to amortize the kernel. All
 /// engines are bit-identical to the full model evaluation, so results

@@ -3,8 +3,8 @@
 
 use crate::evaluator::Evaluator;
 use crate::nsga2::SearchResult;
-use crate::pareto::ParetoArchive;
-use wbsn_model::space::DesignSpace;
+use crate::pareto::{ParetoArchive, RejectFilter};
+use wbsn_model::space::{DesignPoint, DesignSpace, DigitOrder};
 
 /// Points decoded and evaluated per batch: large enough to keep every
 /// core of a parallel batch evaluator busy, small enough that the decoded
@@ -19,6 +19,10 @@ pub fn enumeration_size(space: &DesignSpace) -> u128 {
 
 /// Exhaustively evaluates every configuration of `space`, returning the
 /// exact Pareto front.
+///
+/// Points are visited in [`DesignSpace::point_at`] order and evaluated
+/// through [`Evaluator::evaluate_batch`]; the archive's entries, their
+/// order and payloads are those of a point-by-point serial pass.
 ///
 /// # Panics
 ///
@@ -39,42 +43,7 @@ pub fn enumeration_size(space: &DesignSpace) -> u128 {
 /// ```
 #[must_use]
 pub fn exhaustive(space: &DesignSpace, evaluator: &dyn Evaluator, limit: u128) -> SearchResult {
-    let total = enumeration_size(space);
-    assert!(total <= limit, "space holds {total} points, above the exhaustive limit {limit}");
-    let mut front = ParetoArchive::new();
-    let mut evaluations = 0u64;
-    let mut infeasible = 0u64;
-
-    // Linear-index enumeration: `DesignSpace::point_at` decodes index i
-    // into the i-th mixed-radix digit vector (the same sequence the old
-    // serial odometer produced), so the space partitions perfectly into
-    // independent chunks handed to `evaluate_batch` — the evaluator fans
-    // each one out across cores and runs each chunk through the
-    // MAC-grouped SoA kernel (enumeration visits MAC configurations in
-    // long same-MAC stretches, so the grouped runs are maximal here).
-    // Archive insertion stays in index order: the result is
-    // bit-identical to the fully serial enumeration. One decode buffer
-    // is drained and refilled per chunk, so enumeration allocates per
-    // batch, not per point.
-    let mut points = Vec::with_capacity(BATCH);
-    let mut next: u128 = 0;
-    while next < total {
-        let count = usize::try_from((total - next).min(BATCH as u128)).expect("bounded by BATCH");
-        points.extend((0..count).map(|i| space.point_at(next + i as u128)));
-        let results = evaluator.evaluate_batch(&points);
-        evaluations += count as u64;
-        for (point, result) in points.drain(..).zip(results) {
-            match result {
-                Some(obj) => {
-                    front.insert(obj, point);
-                }
-                None => infeasible += 1,
-            }
-        }
-        next += count as u128;
-    }
-    // Exhaustive enumeration never revisits a genome: no memo needed.
-    SearchResult { front, evaluations, infeasible, memo_hits: 0 }
+    sweep(space, evaluator, limit, DigitOrder::FirstFastest)
 }
 
 /// Decodes linear index `index` in **axis-major** order: the mirror of
@@ -95,31 +64,18 @@ pub fn exhaustive(space: &DesignSpace, evaluator: &dyn Evaluator, limit: u128) -
 ///
 /// Panics if `index` is out of range.
 #[must_use]
-pub fn point_at_axis_major(space: &DesignSpace, index: u128) -> wbsn_model::space::DesignPoint {
+pub fn point_at_axis_major(space: &DesignSpace, index: u128) -> DesignPoint {
     let radices = space.dimension_radices();
     let mut digits = vec![0usize; radices.len()];
-    decode_axis_major(space, &radices, &mut digits, index)
-}
-
-/// Shared decode body of [`point_at_axis_major`] and the sweep loop:
-/// fills `digits` with the reverse-significance mixed-radix digits of
-/// `index` and rebuilds the point. The caller owns the buffers so the
-/// sweep decodes without per-point allocation.
-fn decode_axis_major(
-    space: &DesignSpace,
-    radices: &[usize],
-    digits: &mut [usize],
-    index: u128,
-) -> wbsn_model::space::DesignPoint {
     let mut rem = index;
     // Least significant digit = LAST dimension: walk the radices from
     // the back, exactly `point_at` with the significance order flipped.
-    for (digit, &radix) in digits.iter_mut().zip(radices).rev() {
+    for (digit, &radix) in digits.iter_mut().zip(&radices).rev() {
         *digit = usize::try_from(rem % radix as u128).expect("digit below its radix");
         rem /= radix as u128;
     }
     assert!(rem == 0, "axis-major index out of range");
-    let mut it = digits.iter().copied();
+    let mut it = digits.into_iter();
     space.point_with(|_| it.next().expect("one digit per dimension"))
 }
 
@@ -147,34 +103,64 @@ pub fn exhaustive_incremental(
     evaluator: &dyn Evaluator,
     limit: u128,
 ) -> SearchResult {
+    sweep(space, evaluator, limit, DigitOrder::LastFastest)
+}
+
+/// The sweep loop behind [`exhaustive`] (`FirstFastest`, plain batches)
+/// and [`exhaustive_incremental`] (`LastFastest`, axis-run batches).
+///
+/// An odometer cursor steps through the space in `order`
+/// ([`DesignSpace::step_point`]: a carry chain rewriting only the picks
+/// that roll, no index decode) and refills one reused [`BATCH`]-point
+/// buffer per round. The evaluator fans each batch out across cores and
+/// picks its kernel by node count (the ungrouped `SoA` kernels for every
+/// truth scenario). Archive insertion stays in enumeration order, so the
+/// result is bit-identical to the serial pass; a [`RejectFilter`] turns
+/// the common rejected insert into one comparison, and a point is cloned
+/// out of the buffer only when it enters the archive.
+fn sweep(
+    space: &DesignSpace,
+    evaluator: &dyn Evaluator,
+    limit: u128,
+    order: DigitOrder,
+) -> SearchResult {
     let total = enumeration_size(space);
     assert!(total <= limit, "space holds {total} points, above the exhaustive limit {limit}");
-    let mut front = ParetoArchive::new();
-    let mut evaluations = 0u64;
-    let mut infeasible = 0u64;
-
-    let radices = space.dimension_radices();
-    let mut digits = vec![0usize; radices.len()];
-    let mut points = Vec::with_capacity(BATCH);
+    // Exhaustive enumeration never revisits a genome: no memo needed.
+    let mut result =
+        SearchResult { front: ParetoArchive::new(), evaluations: 0, infeasible: 0, memo_hits: 0 };
+    if total == 0 {
+        return result;
+    }
+    let mut filter = RejectFilter::default();
+    let mut cursor = space.point_at(0);
+    let mut digits = vec![0usize; space.dimension_radices().len()];
+    let mut points =
+        vec![cursor.clone(); usize::try_from(total.min(BATCH as u128)).expect("bounded by BATCH")];
     let mut next: u128 = 0;
     while next < total {
         let count = usize::try_from((total - next).min(BATCH as u128)).expect("bounded by BATCH");
-        points.extend(
-            (0..count).map(|i| decode_axis_major(space, &radices, &mut digits, next + i as u128)),
-        );
-        let results = evaluator.evaluate_batch_axis_runs(&points);
-        evaluations += count as u64;
-        for (point, result) in points.drain(..).zip(results) {
-            match result {
+        points.truncate(count);
+        for slot in &mut points {
+            slot.clone_from(&cursor);
+            space.step_point(&mut cursor, &mut digits, order);
+        }
+        let outcomes = match order {
+            DigitOrder::FirstFastest => evaluator.evaluate_batch(&points),
+            DigitOrder::LastFastest => evaluator.evaluate_batch_axis_runs(&points),
+        };
+        for (point, outcome) in points.iter().zip(outcomes) {
+            match outcome {
                 Some(obj) => {
-                    front.insert(obj, point);
+                    filter.insert(&mut result.front, obj, || point.clone());
                 }
-                None => infeasible += 1,
+                None => result.infeasible += 1,
             }
         }
+        result.evaluations += count as u64;
         next += count as u128;
     }
-    SearchResult { front, evaluations, infeasible, memo_hits: 0 }
+    result
 }
 
 #[cfg(test)]
@@ -203,32 +189,50 @@ mod tests {
         assert!(!result.front.is_empty());
     }
 
+    /// Every space the decode tests enumerate. The wide slice's payload
+    /// axis has radix 1, so its digit wraps on every carry through it.
+    fn decode_spaces() -> [DesignSpace; 3] {
+        [tiny_space(), error_heavy_space(), crate::truth::wide_6node_slice().space]
+    }
+
     /// The linear-index enumeration visits exactly the point set (and
-    /// sequence) of the retired serial odometer.
+    /// sequence) of the retired serial odometer, and the in-place
+    /// [`DesignSpace::step_point`] odometer reproduces it — wrapping back
+    /// to index 0 past the last index.
     #[test]
     fn linear_decode_enumerates_the_odometer_sequence() {
-        let space = tiny_space();
-        // Reference: the old mixed-radix odometer.
-        let radices = space.dimension_radices();
-        let mut digits = vec![0usize; radices.len()];
-        let mut index: u128 = 0;
-        loop {
-            let mut it = digits.iter().copied();
-            let odometer_point = space.point_with(|_| it.next().expect("digit per dimension"));
-            assert_eq!(space.point_at(index), odometer_point, "index {index}");
-            index += 1;
-            let mut pos = 0;
-            loop {
-                if pos == digits.len() {
-                    assert_eq!(index, space.cardinality(), "sequence lengths differ");
-                    return;
+        for space in decode_spaces() {
+            // Reference: the old mixed-radix odometer.
+            let radices = space.dimension_radices();
+            let mut digits = vec![0usize; radices.len()];
+            let mut stepped = space.point_at(0);
+            let mut step_digits = vec![0usize; radices.len()];
+            let mut index: u128 = 0;
+            'sequence: loop {
+                let mut it = digits.iter().copied();
+                let odometer_point = space.point_with(|_| it.next().expect("digit per dimension"));
+                assert_eq!(space.point_at(index), odometer_point, "index {index}");
+                assert_eq!(stepped, odometer_point, "stepped to index {index}");
+                let advanced =
+                    space.step_point(&mut stepped, &mut step_digits, DigitOrder::FirstFastest);
+                index += 1;
+                let mut pos = 0;
+                loop {
+                    if pos == digits.len() {
+                        assert_eq!(index, space.cardinality(), "sequence lengths differ");
+                        assert!(!advanced, "the step past the last index wraps");
+                        assert_eq!(stepped, space.point_at(0));
+                        assert!(step_digits.iter().all(|&d| d == 0));
+                        break 'sequence;
+                    }
+                    digits[pos] += 1;
+                    if digits[pos] < radices[pos] {
+                        break;
+                    }
+                    digits[pos] = 0;
+                    pos += 1;
                 }
-                digits[pos] += 1;
-                if digits[pos] < radices[pos] {
-                    break;
-                }
-                digits[pos] = 0;
-                pos += 1;
+                assert!(advanced, "index {index} is not past the end");
             }
         }
     }
@@ -299,32 +303,40 @@ mod tests {
     /// Axis-major decode is a permutation of the canonical decode: every
     /// axis-major index maps back to a distinct canonical index (digit
     /// vectors reversed in significance, same digit set), and the two
-    /// orders enumerate the same point sequence under that mapping.
+    /// orders enumerate the same point sequence under that mapping. The
+    /// `LastFastest` odometer step reproduces the axis-major sequence and
+    /// wraps past its end.
     #[test]
     fn axis_major_decode_is_a_permutation_of_point_at() {
-        let space = tiny_space();
-        let radices = space.dimension_radices();
-        let total = space.cardinality();
-        for index in 0..total {
-            // Recover the axis-major digits, then re-encode them in
-            // canonical (first-dimension-fastest) significance.
-            let mut rem = index;
-            let mut digits = vec![0usize; radices.len()];
-            for (digit, &radix) in digits.iter_mut().zip(&radices).rev() {
-                *digit = usize::try_from(rem % radix as u128).expect("digit below radix");
-                rem /= radix as u128;
+        for space in decode_spaces() {
+            let radices = space.dimension_radices();
+            let total = space.cardinality();
+            let mut stepped = space.point_at(0);
+            let mut step_digits = vec![0usize; radices.len()];
+            for index in 0..total {
+                // Recover the axis-major digits, then re-encode them in
+                // canonical (first-dimension-fastest) significance.
+                let mut rem = index;
+                let mut digits = vec![0usize; radices.len()];
+                for (digit, &radix) in digits.iter_mut().zip(&radices).rev() {
+                    *digit = usize::try_from(rem % radix as u128).expect("digit below radix");
+                    rem /= radix as u128;
+                }
+                let mut canonical: u128 = 0;
+                let mut stride: u128 = 1;
+                for (&digit, &radix) in digits.iter().zip(&radices) {
+                    canonical += digit as u128 * stride;
+                    stride *= radix as u128;
+                }
+                let axis_major = point_at_axis_major(&space, index);
+                assert_eq!(axis_major, space.point_at(canonical), "axis-major index {index}");
+                assert_eq!(stepped, axis_major, "stepped to axis-major index {index}");
+                let advanced =
+                    space.step_point(&mut stepped, &mut step_digits, DigitOrder::LastFastest);
+                assert_eq!(advanced, index + 1 < total, "axis-major index {index}");
             }
-            let mut canonical: u128 = 0;
-            let mut stride: u128 = 1;
-            for (&digit, &radix) in digits.iter().zip(&radices) {
-                canonical += digit as u128 * stride;
-                stride *= radix as u128;
-            }
-            assert_eq!(
-                point_at_axis_major(&space, index),
-                space.point_at(canonical),
-                "axis-major index {index}"
-            );
+            assert_eq!(stepped, space.point_at(0), "the step past the last index wraps");
+            assert!(step_digits.iter().all(|&d| d == 0));
         }
     }
 
@@ -343,6 +355,54 @@ mod tests {
                 let n = a.nodes.len();
                 assert_eq!(a.mac, b.mac, "index {index}");
                 assert_eq!(a.nodes[..n - 1], b.nodes[..n - 1], "index {index}");
+            }
+        }
+    }
+
+    /// Reference sweep sharing no code with [`sweep`]: decode every index
+    /// on its own, evaluate it with the scalar model and plainly
+    /// `insert` every feasible point — no odometer, no reject filter, no
+    /// batching.
+    fn reference_sweep(space: &DesignSpace, order: DigitOrder) -> SearchResult {
+        let eval = ModelEvaluator::shimmer();
+        let mut result = SearchResult {
+            front: ParetoArchive::new(),
+            evaluations: 0,
+            infeasible: 0,
+            memo_hits: 0,
+        };
+        for index in 0..space.cardinality() {
+            let point = match order {
+                DigitOrder::FirstFastest => space.point_at(index),
+                DigitOrder::LastFastest => point_at_axis_major(space, index),
+            };
+            match eval.evaluate(&point) {
+                Some(obj) => {
+                    result.front.insert(obj, point);
+                }
+                None => result.infeasible += 1,
+            }
+            result.evaluations += 1;
+        }
+        result
+    }
+
+    /// Both sweeps equal the plain reference loop: archive entries
+    /// (order and payloads) and counters.
+    #[test]
+    fn sweeps_equal_the_plain_reference_loop() {
+        type Sweep = fn(&DesignSpace, &dyn Evaluator, u128) -> SearchResult;
+        let sweeps: [(DigitOrder, Sweep); 2] = [
+            (DigitOrder::FirstFastest, exhaustive),
+            (DigitOrder::LastFastest, exhaustive_incremental),
+        ];
+        for space in [tiny_space(), error_heavy_space()] {
+            for (order, sweep) in sweeps {
+                let fast = sweep(&space, &ModelEvaluator::shimmer(), 100_000);
+                let reference = reference_sweep(&space, order);
+                assert_eq!(fast.evaluations, reference.evaluations, "{order:?}");
+                assert_eq!(fast.infeasible, reference.infeasible, "{order:?}");
+                assert_eq!(fast.front.entries(), reference.front.entries(), "{order:?}");
             }
         }
     }

@@ -8,6 +8,12 @@
 //! Work is handed out in small interleaved blocks from an atomic cursor,
 //! so a run of cheap items (e.g. infeasible configurations that fail
 //! fast) cannot starve one worker while another drowns.
+//!
+//! The calling thread is one of the workers: a `threads`-wide map spawns
+//! `threads − 1` scoped helpers and runs the first worker's share
+//! itself, so a 2-thread call pays for one spawn and join, not two. The
+//! caller's panics are caught and handled like a helper's: every worker
+//! is joined before the first payload resurfaces, unchanged.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -100,7 +106,8 @@ pub fn homogeneous_runs<T, K: PartialEq>(
 ///
 /// # Panics
 ///
-/// Propagates panics from `f` (the scope joins all workers first).
+/// Propagates panics from `f`, the calling thread's included, after
+/// joining every worker.
 pub fn parallel_map_with<T, R, S, MS, F>(items: &[T], make_state: MS, f: F) -> Vec<R>
 where
     T: Sync,
@@ -139,7 +146,8 @@ where
 
 /// The engine behind [`parallel_map_with_block`] with an explicit thread
 /// budget, so the threaded path (and its panic propagation) is testable
-/// on single-core hosts.
+/// on single-core hosts. Spawns `threads − 1` helpers and claims blocks
+/// on the calling thread too.
 fn map_with_threads<T, R, S, MS, F>(
     items: &[T],
     block: usize,
@@ -161,39 +169,44 @@ where
     }
 
     let cursor = AtomicUsize::new(0);
+    let worker = || {
+        let mut state = make_state();
+        let mut produced = Vec::new();
+        // verify: hot-path-begin(chunk-claim-loop)
+        loop {
+            let start = cursor.fetch_add(block, Ordering::Relaxed);
+            if start >= n {
+                break;
+            }
+            let end = (start + block).min(n);
+            let mapped = items[start..end].iter().map(|item| f(&mut state, item));
+            // verify: allow(hot-path-alloc, reason = "one result Vec per claimed block (>= MIN_BLOCK items), amortized across the whole block's evaluations")
+            let block: Vec<R> = mapped.collect();
+            // verify: allow(hot-path-alloc, reason = "one bookkeeping push per claimed block, not per item")
+            produced.push((start, block));
+        }
+        // verify: hot-path-end(chunk-claim-loop)
+        produced
+    };
     let worker_outputs: Vec<Vec<(usize, Vec<R>)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut state = make_state();
-                    let mut produced = Vec::new();
-                    // verify: hot-path-begin(chunk-claim-loop)
-                    loop {
-                        let start = cursor.fetch_add(block, Ordering::Relaxed);
-                        if start >= n {
-                            break;
-                        }
-                        let end = (start + block).min(n);
-                        let mapped = items[start..end].iter().map(|item| f(&mut state, item));
-                        // verify: allow(hot-path-alloc, reason = "one result Vec per claimed block (>= MIN_BLOCK items), amortized across the whole block's evaluations")
-                        let block: Vec<R> = mapped.collect();
-                        // verify: allow(hot-path-alloc, reason = "one bookkeeping push per claimed block, not per item")
-                        produced.push((start, block));
-                    }
-                    // verify: hot-path-end(chunk-claim-loop)
-                    produced
-                })
-            })
-            .collect();
-        // Join EVERY worker before propagating a panic: a panic payload
+        let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(worker)).collect();
+        // The caller is the first worker. Its panic is caught rather than
+        // left to unwind through the scope, so it is handled exactly like
+        // a helper's below; its leased state drops while unwinding, as a
+        // helper's would.
+        let own = std::panic::catch_unwind(std::panic::AssertUnwindSafe(worker));
+        // Join EVERY helper before propagating a panic: a panic payload
         // raised mid-collect would otherwise unwind through the scope
         // while siblings still run, replacing the original payload with
         // a generic join error and racing their per-worker state drops
         // (pooled scratches) against the unwind. Surviving workers keep
         // draining the cursor — their leased states return to the warm
         // pool through the normal drop path — and only then does the
-        // first panic payload resurface, unchanged, for the caller.
-        let joined: Vec<_> = handles.into_iter().map(std::thread::ScopedJoinHandle::join).collect();
+        // first panic payload (the caller's own first) resurface,
+        // unchanged, for the caller.
+        let joined = std::iter::once(own)
+            .chain(helpers.into_iter().map(std::thread::ScopedJoinHandle::join))
+            .collect::<Vec<_>>();
         let mut outputs = Vec::with_capacity(joined.len());
         let mut first_panic = None;
         for result in joined {
@@ -335,6 +348,40 @@ mod tests {
         // panic, 501–511 abandoned with it, everything else drained by
         // the surviving workers.
         assert_eq!(processed.load(Ordering::Relaxed), items.len() - 12);
+    }
+
+    /// The calling thread is one of the workers: a panic in its own
+    /// share must resurface with its payload after the helpers finish
+    /// every other item. A barrier on each worker's first item makes
+    /// both threads claim one before the caller's item panics.
+    #[test]
+    fn panic_in_the_callers_own_share_joins_helpers_first() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Barrier;
+        let caller = std::thread::current().id();
+        let items: Vec<usize> = (0..200).collect();
+        let processed = AtomicUsize::new(0);
+        let both_started = Barrier::new(2);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            map_with_threads(
+                &items,
+                1,
+                2,
+                || true,
+                |first: &mut bool, &x| {
+                    if std::mem::take(first) {
+                        both_started.wait();
+                    }
+                    assert!(std::thread::current().id() != caller, "caller's share died on {x}");
+                    processed.fetch_add(1, Ordering::Relaxed);
+                    x
+                },
+            )
+        }));
+        let payload = result.expect_err("the caller's panic must propagate");
+        let message = payload.downcast_ref::<String>().expect("formatted panic payload");
+        assert!(message.starts_with("caller's share died on "), "got `{message}`");
+        assert_eq!(processed.load(Ordering::Relaxed), items.len() - 1);
     }
 
     /// Same through the explicit-block entry point (the batch

@@ -42,6 +42,14 @@ impl<T> ParetoArchive<T> {
     /// Attempts to insert a point. Returns `true` when the point enters
     /// the archive (it was not weakly dominated); dominated incumbents
     /// are evicted.
+    pub fn insert(&mut self, objectives: ObjectiveVector, payload: T) -> bool {
+        self.insert_with(objectives, || payload).is_ok()
+    }
+
+    /// [`ParetoArchive::insert`] with a lazily built payload: `payload`
+    /// runs only when the candidate enters. A rejected candidate leaves
+    /// the archive untouched and returns the incumbent that weakly
+    /// dominates it.
     ///
     /// Single scan: each incumbent is compared to the candidate exactly
     /// once, deciding rejection *and* eviction — inserts run inside every
@@ -51,14 +59,18 @@ impl<T> ParetoArchive<T> {
     /// weakly dominates the candidate, no incumbent can be dominated *by*
     /// the candidate (transitivity would make that incumbent dominated by
     /// the weak dominator) — rejection can never race an eviction.
-    pub fn insert(&mut self, objectives: ObjectiveVector, payload: T) -> bool {
+    pub(crate) fn insert_with(
+        &mut self,
+        objectives: ObjectiveVector,
+        payload: impl FnOnce() -> T,
+    ) -> Result<(), ObjectiveVector> {
         use crate::objective::Dominance;
         let mut write = 0;
         for read in 0..self.entries.len() {
             match self.entries[read].objectives.compare(&objectives) {
                 Dominance::Dominates | Dominance::Equal => {
                     debug_assert_eq!(write, read, "eviction cannot precede rejection");
-                    return false;
+                    return Err(self.entries[read].objectives);
                 }
                 Dominance::DominatedBy => {} // evicted: not copied forward
                 Dominance::Incomparable => {
@@ -68,8 +80,8 @@ impl<T> ParetoArchive<T> {
             }
         }
         self.entries.truncate(write);
-        self.entries.push(ArchiveEntry { objectives, payload });
-        true
+        self.entries.push(ArchiveEntry { objectives, payload: payload() });
+        Ok(())
     }
 
     /// Inserts every entry of `other`, in order. The result equals
@@ -115,6 +127,45 @@ impl<T> ParetoArchive<T> {
 impl<T> Default for ParetoArchive<T> {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// Pre-filter for one long stream of inserts into one archive (the
+/// exhaustive sweep's): remembers the last incumbent that rejected a
+/// candidate and drops every later candidate it weakly dominates
+/// without scanning the archive.
+///
+/// Exact: an incumbent is only evicted by a candidate that dominates
+/// it, and that candidate stays in the archive until something
+/// dominating it arrives, so every vector that was ever in the archive
+/// is weakly dominated by a current incumbent. A candidate the
+/// remembered rejector weakly dominates is one [`ParetoArchive::insert`]
+/// would reject without changing anything — the rejector need not still
+/// be in the archive.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct RejectFilter(Option<ObjectiveVector>);
+
+impl RejectFilter {
+    /// Same outcome and archive state as
+    /// `archive.insert(objectives, payload())`, with `payload` built only
+    /// on acceptance. `archive` must be the one every earlier call of
+    /// this filter inserted into.
+    pub(crate) fn insert<T>(
+        &mut self,
+        archive: &mut ParetoArchive<T>,
+        objectives: ObjectiveVector,
+        payload: impl FnOnce() -> T,
+    ) -> bool {
+        if self.0.is_some_and(|rejector| rejector.weakly_dominates(&objectives)) {
+            return false;
+        }
+        match archive.insert_with(objectives, payload) {
+            Ok(()) => true,
+            Err(rejector) => {
+                self.0 = Some(rejector);
+                false
+            }
+        }
     }
 }
 
@@ -204,9 +255,26 @@ mod tests {
         };
         let mut fast = ParetoArchive::new();
         let mut slow: Vec<ArchiveEntry<usize>> = Vec::new();
+        // The stream filter must match too, including when its cached
+        // rejector has since been evicted.
+        let mut filtered = ParetoArchive::new();
+        let mut filter = RejectFilter::default();
+        let (mut payloads_built, mut acceptances, mut evicted_rejector_hits) = (0, 0, 0);
         for i in 0..500 {
             let p = ov(&[next(), next(), next()]);
             let accepted_fast = fast.insert(p, i);
+            if filter.0.is_some_and(|r| {
+                r.weakly_dominates(&p) && !filtered.objectives().any(|o: &ObjectiveVector| *o == r)
+            }) {
+                evicted_rejector_hits += 1;
+            }
+            let accepted_filtered = filter.insert(&mut filtered, p, || {
+                payloads_built += 1;
+                i
+            });
+            assert_eq!(accepted_filtered, accepted_fast, "filtered insert #{i}");
+            acceptances += usize::from(accepted_fast);
+            assert_eq!(filtered.entries(), fast.entries(), "filtered insert #{i}");
             // Reference: the original reject-scan + retain double pass.
             let accepted_slow = if slow.iter().any(|e| e.objectives.weakly_dominates(&p)) {
                 false
@@ -222,6 +290,8 @@ mod tests {
             }
         }
         assert!(!fast.is_empty());
+        assert_eq!(payloads_built, acceptances, "payloads are built on acceptance only");
+        assert!(evicted_rejector_hits > 0, "the stream must exercise an evicted rejector");
     }
 
     #[test]
