@@ -9,10 +9,9 @@
 //! Gated fields (higher-is-better rates unless noted):
 //! * `batch_evals_per_s` — the multi-core batch engine;
 //! * `batch_evals_per_s_16node` — the batch engine on the 16-node
-//!   large-deployment sweep (the grouped-kernel crossover workload);
+//!   large-deployment sweep;
 //! * `fastpath_evals_per_s` — the scalar allocation-free fast path;
 //! * `soa_evals_per_s` — the struct-of-arrays kernel, one core;
-//! * `soa_grouped_evals_per_s` — the MAC-grouped `SoA` kernel, one core;
 //! * `full_evals_per_s` — the full-evaluation (per-node lanes) kernel,
 //!   one core;
 //! * `decode_eval_points_per_s` — linear-index decode + scalar
@@ -112,7 +111,6 @@ fn gated_fields() -> Vec<(String, Gate)> {
         ("batch_evals_per_s_16node", Gate::HigherIsBetter),
         ("fastpath_evals_per_s", Gate::HigherIsBetter),
         ("soa_evals_per_s", Gate::HigherIsBetter),
-        ("soa_grouped_evals_per_s", Gate::HigherIsBetter),
         ("full_evals_per_s", Gate::HigherIsBetter),
         ("decode_eval_points_per_s", Gate::HigherIsBetter),
         ("sweep_incremental_points_per_s", Gate::HigherIsBetter),
@@ -476,7 +474,7 @@ mod tests {
                 assert!(matches!(gate.1, Gate::Floor(_)), "`{name}` must be an absolute floor");
             }
         }
-        assert!(fields.len() >= 16 + 18, "the gated field set shrank");
+        assert!(fields.len() >= 15 + 18, "the gated field set shrank");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! magnitude. Our Rust model is faster and our simulator much faster
 //! than Castalia, but the *ratio* is what the experiment establishes.
 //!
-//! On top of the paper's comparison, this binary measures the six
+//! On top of the paper's comparison, this binary measures the five
 //! evaluation paths of the engine:
 //!
 //! * **serial** — `WbsnModel::evaluate` per point (allocating, no memo);
@@ -16,18 +16,16 @@
 //! * **`SoA` kernel** — `WbsnModel::evaluate_objectives_batch` through one
 //!   reused `SoaScratch` (struct-of-arrays, interned node/MAC/cell
 //!   tables, mask-based infeasibility) on a single core;
-//! * **`SoA` grouped** — `WbsnModel::evaluate_objectives_batch_grouped`,
-//!   the same tables with the batch sorted by interned MAC entry and
-//!   same-MAC runs reduced over transposed `node × point` lanes;
 //! * **`SoA` full** — `WbsnModel::evaluate_batch_full`, the
 //!   full-evaluation kernel emitting per-node energy-breakdown / delay /
 //!   PRD / slot lanes into caller-owned arrays;
-//! * **batch** — `Evaluator::evaluate_batch`, the `SoA` kernel (engine
-//!   keyed on node count) fanned out across all cores chunk by chunk.
+//! * **batch** — `Evaluator::evaluate_batch`, the `SoA` kernel run
+//!   inline for one chunk and fanned out across all cores chunk by
+//!   chunk above it.
 //!
-//! A 16-node large-deployment sweep additionally measures the grouped
-//! kernel's crossover claim (grouped ≥ ungrouped on wide networks) and
-//! the batch path at 16 nodes (`batch_evals_per_s_16node`, gated).
+//! A 16-node large-deployment sweep additionally measures the `SoA`
+//! kernel and the batch path at 16 nodes (`batch_evals_per_s_16node`,
+//! gated).
 //!
 //! The ground-truth harness numbers ride along: the axis-major
 //! incremental sweep's full-space throughput on the paper-2node truth
@@ -178,28 +176,6 @@ fn main() {
         soa_scratch.mac_len()
     );
 
-    // --- Path 3b: the MAC-grouped SoA kernel, one scratch, one core.
-    //     Same tables as path 3, transposed same-MAC reduction. ---
-    let _ = model.evaluate_objectives_batch_grouped(&soa_points, &mut soa_scratch);
-    let allocs_before = allocations();
-    let t0 = Instant::now();
-    let mut grouped_evals = 0usize;
-    let mut grouped_feasible = 0usize;
-    while t0.elapsed().as_secs_f64() < 0.5 {
-        grouped_feasible = model
-            .evaluate_objectives_batch_grouped(&soa_points, &mut soa_scratch)
-            .iter()
-            .filter(|o| o.is_ok())
-            .count();
-        grouped_evals += soa_points.len();
-    }
-    let soa_grouped_per_s = grouped_evals as f64 / t0.elapsed().as_secs_f64();
-    let soa_grouped_allocs_per_eval = (allocations() - allocs_before) as f64 / grouped_evals as f64;
-    assert_eq!(grouped_feasible, soa_warm_feasible, "grouping must not change outcomes");
-    println!(
-        "SoA grouped (objectives_batch_grouped): {soa_grouped_per_s:>8.0} evaluations/s  ({grouped_feasible} feasible, {soa_grouped_allocs_per_eval:.6} allocs/eval)"
-    );
-
     // --- Path 3c: the full-evaluation batch kernel — per-node energy
     //     breakdown / delay / PRD / slot lanes, not just objectives. ---
     let mut full_out = wbsn_model::soa::FullEvalOut::new();
@@ -287,11 +263,9 @@ fn main() {
         None
     };
 
-    // --- Path 4b: 16-node large-deployment sweep — the grouped
-    //     kernel's crossover territory. Measures the node-count-keyed
-    //     engine claim (grouped ≥ ungrouped at 16 nodes) instead of
-    //     folklore, and gates the batch path on it
-    //     (`batch_evals_per_s_16node`). ---
+    // --- Path 4b: 16-node large-deployment sweep — the `SoA` kernel
+    //     on one core and the gated batch path
+    //     (`batch_evals_per_s_16node`) on wide networks. ---
     let space16 = DesignSpace::case_study(16);
     let points16 = space16.sample_sweep(4096);
     let mut scratch16 = SoaScratch::new();
@@ -307,23 +281,6 @@ fn main() {
         soa16_evals += points16.len();
     }
     let soa16_per_s = soa16_evals as f64 / t0.elapsed().as_secs_f64();
-    let _ = model.evaluate_objectives_batch_grouped(&points16, &mut scratch16);
-    let t0 = Instant::now();
-    let mut grouped16_evals = 0usize;
-    // The feasibility scan stays outside the timed window (the
-    // ungrouped loop above has none, and this ratio is the crossover
-    // number the engine-dispatch tuning cites).
-    while t0.elapsed().as_secs_f64() < 0.5 {
-        let _ = model.evaluate_objectives_batch_grouped(&points16, &mut scratch16);
-        grouped16_evals += points16.len();
-    }
-    let soa_grouped16_per_s = grouped16_evals as f64 / t0.elapsed().as_secs_f64();
-    let grouped16_feasible = model
-        .evaluate_objectives_batch_grouped(&points16, &mut scratch16)
-        .iter()
-        .filter(|o| o.is_ok())
-        .count();
-    assert_eq!(grouped16_feasible, warm16_feasible, "grouping must not change outcomes");
     let _ = evaluator.evaluate_batch(&points16);
     // Best of three windows, mirroring the 6-node trajectory's
     // max-over-sizes convention: this field is gated, and a single
@@ -340,9 +297,8 @@ fn main() {
         batch16_per_s = batch16_per_s.max(batch16_evals as f64 / t0.elapsed().as_secs_f64());
     }
     println!(
-        "16-node sweep: ungrouped {soa16_per_s:>10.0}/s | grouped {soa_grouped16_per_s:>10.0}/s \
-         (ratio {:.3}) | batch {batch16_per_s:>10.0}/s ({warm16_feasible} feasible of {})",
-        soa_grouped16_per_s / soa16_per_s,
+        "16-node sweep: SoA {soa16_per_s:>10.0}/s | batch {batch16_per_s:>10.0}/s \
+         ({warm16_feasible} feasible of {})",
         points16.len()
     );
 
@@ -475,11 +431,9 @@ fn main() {
     let _ = writeln!(json, "  \"serial_evals_per_s\": {serial_per_s:.1},");
     let _ = writeln!(json, "  \"fastpath_evals_per_s\": {fastpath_per_s:.1},");
     let _ = writeln!(json, "  \"soa_evals_per_s\": {soa_per_s:.1},");
-    let _ = writeln!(json, "  \"soa_grouped_evals_per_s\": {soa_grouped_per_s:.1},");
     let _ = writeln!(json, "  \"full_evals_per_s\": {full_per_s:.1},");
     let _ = writeln!(json, "  \"batch_evals_per_s\": {batch_per_s:.1},");
     let _ = writeln!(json, "  \"soa_evals_per_s_16node\": {soa16_per_s:.1},");
-    let _ = writeln!(json, "  \"soa_grouped_evals_per_s_16node\": {soa_grouped16_per_s:.1},");
     let _ = writeln!(json, "  \"batch_evals_per_s_16node\": {batch16_per_s:.1},");
     let _ = writeln!(json, "  \"speedup_fastpath_vs_serial\": {fastpath_speedup:.3},");
     let _ = writeln!(json, "  \"speedup_soa_vs_serial\": {soa_speedup:.3},");
@@ -492,7 +446,6 @@ fn main() {
     );
     let _ = writeln!(json, "  \"fastpath_allocs_per_eval\": {fastpath_allocs_per_eval:.6},");
     let _ = writeln!(json, "  \"soa_allocs_per_eval\": {soa_allocs_per_eval:.6},");
-    let _ = writeln!(json, "  \"soa_grouped_allocs_per_eval\": {soa_grouped_allocs_per_eval:.6},");
     let _ = writeln!(json, "  \"full_allocs_per_eval\": {full_allocs_per_eval:.6},");
     let _ = writeln!(json, "  \"decode_allocs_per_point\": {decode_allocs_per_point:.6},");
     let _ = writeln!(json, "  \"decode_eval_points_per_s\": {decode_per_s:.1},");

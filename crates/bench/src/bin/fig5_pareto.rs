@@ -4,7 +4,7 @@
 //! application-quality axis.
 //!
 //! Both searches and the baseline's 3-D re-evaluation run through the
-//! batch evaluation engine (the MAC-grouped `SoA` kernel under
+//! batch evaluation engine (the `SoA` kernel under
 //! `Evaluator::evaluate_batch`). The table is built by
 //! [`wbsn_bench::figures::fig5_table`] and snapshotted under
 //! `benchmarks/golden/` (see `crates/bench/tests/golden_figures.rs`).

@@ -462,8 +462,9 @@ impl WbsnModel {
     ///   `(kind, CR, fµC)` — under a fixed MAC configuration an N-node
     ///   network costs at most `|grid|` node-model evaluations in total.
     ///
-    /// This is the engine behind batch design-space exploration; see
-    /// `wbsn-dse`'s `Evaluator::evaluate_batch`.
+    /// The objectives `SoA` batch kernels (`crate::soa`) fall back to
+    /// it, point by point, for every point they cannot intern (their
+    /// spill path).
     ///
     /// # Errors
     ///

@@ -38,15 +38,9 @@ pub fn balanced_metric(per_node: &[f64], theta: f64) -> f64 {
 /// `sum` carries the same bits [`crate::math::mean`] would compute —
 /// and hands it in here to spare one traversal per metric. Passing any
 /// other value computes a different (wrong) metric; this must stay in
-/// lockstep with [`balanced_metric`].
-///
-/// The MAC-grouped kernel additionally carries a *transposed* rendition
-/// of this exact expression (`transposed_metric` in `crate::soa`),
-/// evaluating it for a whole tile of points side by side — mean from
-/// the pre-accumulated sum, left-fold sum of squared deviations in node
-/// order, then `mean + ϑ·std`. The three forms must never drift: the
-/// kernels' bit-parity against the scalar path is property-tested in
-/// `crates/wbsn/tests/soa_parity.rs` and `full_eval_parity.rs`.
+/// lockstep with [`balanced_metric`]. The two forms must never drift:
+/// the kernels' bit-parity against the scalar path is property-tested
+/// in `crates/wbsn/tests/soa_parity.rs` and `full_eval_parity.rs`.
 #[must_use]
 pub fn balanced_metric_with_sum(per_node: &[f64], sum: f64, theta: f64) -> f64 {
     let m = if per_node.is_empty() { 0.0 } else { sum / per_node.len() as f64 };

@@ -38,7 +38,7 @@
 //! index), then the Eq. 1–2 assignment (per-node bandwidth shortfall in
 //! node order, then the GTS capacity total). That resolution sequence
 //! lives in **exactly one place** — the monomorphized [`walk_point`]
-//! helper every batch entry point (objectives, full, grouped phase 1)
+//! helper every batch entry point (objectives, axis runs, full)
 //! instantiates with its own per-node sink — so the order cannot drift
 //! between kernels. Two mechanisms reproduce it:
 //!
@@ -72,35 +72,6 @@
 //! (identical-to-scalar) `ModelError`. Cells are shared with the
 //! objectives kernels, so mixed batches through one scratch reuse all
 //! warmth.
-//!
-//! # MAC-grouped transposition
-//!
-//! The `*_grouped` variants ([`WbsnModel::evaluate_objectives_batch_grouped`],
-//! [`WbsnModel::evaluate_batch_full_grouped`]) reorder *execution* (never
-//! output) to open real SIMD width. A batch is processed in three
-//! phases:
-//!
-//! 1. a sequential walk interns every point and resolves every
-//!    infeasibility (it is the ungrouped kernel's walk, minus the
-//!    reductions), emitting one compact 16-byte record plus the interned
-//!    per-node grid indices for each feasible point;
-//! 2. a stable counting sort physically permutes those records into
-//!    contiguous same-`(MAC, node count)` runs — batch order preserved
-//!    within a run, so the pass is deterministic;
-//! 3. each run is reduced in [`GROUP_TILE`]-point tiles over transposed
-//!    `node × point` lanes (`lane[j * K + k]` = node `j` of tile point
-//!    `k`): the Eq. 9 delay loop and the Eq. 8 mean/deviation passes run
-//!    with points side by side in their inner loops, vectorizing over up
-//!    to `K` points instead of over the ≈6 nodes of one network.
-//!
-//! Results are scattered back to batch positions, so callers cannot
-//! observe the grouping — outcomes are bit-identical to the ungrouped
-//! kernel (and therefore to the scalar path) in both modes. With the
-//! interning walk reduced to dense loads, the straight per-point
-//! reduction wins on narrow networks (the ≈6-node case study) and the
-//! transposed tiles only pay off on wide ones; `wbsn-dse`'s
-//! `Evaluator::evaluate_batch` therefore keys its per-chunk engine on
-//! the batch's node count (grouped from ~16 nodes up).
 //!
 //! # Bit-exactness
 //!
@@ -152,16 +123,13 @@ struct Cell {
     energy: f64,
     /// Estimated PRD. NaN when infeasible.
     prd: f64,
-    /// [`Cell::k`] as an exact f64 integer (`k ≤ MAX_GTS_SLOTS`), so the
-    /// grouped kernel's pure-f64 Eq. 9 lanes gather without converting.
-    kf: f64,
     /// Eq. 1 slot count `k(n)`; 0 when the cell is not feasible.
     k: u32,
     /// [`FILLED`] | [`ENTRY_OK`] | [`BW_OK`] bits.
     flags: u32,
 }
 
-const EMPTY_CELL: Cell = Cell { energy: f64::NAN, prd: f64::NAN, kf: 0.0, k: 0, flags: 0 };
+const EMPTY_CELL: Cell = Cell { energy: f64::NAN, prd: f64::NAN, k: 0, flags: 0 };
 
 /// Dense node-configuration slots: the full case-study node axis
 /// (kind × CR level × fµC level, 176 slots).
@@ -251,8 +219,6 @@ struct MacEntry {
     /// The configured MAC model (`n_gts` = node count, as in the scalar
     /// path).
     mac: Ieee802154Mac,
-    /// The pair's node count (the grouped engine's run geometry).
-    n_nodes: u32,
     /// Base time unit `δ` (slot duration), seconds.
     delta: f64,
     /// Allocation rounds (superframes) per second.
@@ -441,7 +407,6 @@ impl MacTable {
             }
             MacEntry {
                 mac,
-                n_nodes,
                 delta: mac.base_time_unit().value(),
                 rounds: mac.allocation_rounds_per_second(),
                 max_per_round: f64::from(capacity) * mac.base_time_unit().value(),
@@ -452,7 +417,6 @@ impl MacTable {
         } else {
             MacEntry {
                 mac,
-                n_nodes,
                 delta: 0.0,
                 rounds: 0.0,
                 max_per_round: 0.0,
@@ -503,7 +467,7 @@ fn fill_cell(model: &WbsnModel, me: &MacEntry, ge: &GridEntry, entry_ok: bool) -
         }
     };
     let flags = FILLED | ENTRY_OK | if bw_ok { BW_OK } else { 0 };
-    (Cell { energy, prd: ge.prd, kf: f64::from(k), k, flags }, bw_needed, radio.mj_per_s())
+    (Cell { energy, prd: ge.prd, k, flags }, bw_needed, radio.mj_per_s())
 }
 
 /// Outcome of [`walk_point`] for one design point.
@@ -521,8 +485,8 @@ enum Walked {
 
 /// **The** per-point walk — the single place the decode + intern +
 /// gather loop and its error-resolution sequence exist. Every batch
-/// entry point (the objectives kernel, the full-evaluation kernel and
-/// the grouped engine's phase 1) instantiates it with its own
+/// entry point (the objectives kernel, the axis-run kernel's run heads
+/// and the full-evaluation kernel) instantiates it with its own
 /// monomorphized `per_node` sink, so the resolution order — MAC
 /// validation, first failing node outcome (re-tagged with its node
 /// index), first bandwidth-flagged node in `assign_slots_into`'s scan
@@ -535,11 +499,10 @@ enum Walked {
 /// caller). The grid entry and radio value are handed over as slices
 /// plus the index `g`, so a sink that ignores them costs nothing — an
 /// eagerly-indexed argument would force the bounds-checked loads even
-/// into the objectives kernel, which needs neither. A sink that must
-/// remember the walked indices (the grouped engine's pending records)
-/// records `g` itself; the cold bandwidth-mask resolution re-derives
-/// them via [`GridTable::index_of`] instead of taxing the hot loop with
-/// bookkeeping.
+/// into the objectives kernel, which needs neither. The walk keeps no
+/// record of the indices it visited: the cold bandwidth-mask
+/// resolution re-derives them via [`GridTable::index_of`] instead of
+/// taxing the hot loop with bookkeeping.
 // The borrow flow wants the raw table parts, not a bundling struct:
 // `macs.intern` needs `cells` whole before `&mut cells[m]` splits off.
 // verify: hot-path-begin(walk-point)
@@ -728,49 +691,10 @@ pub struct SoaScratch {
     prds: Vec<f64>,
     slots: Vec<u32>,
     results: Vec<PointOutcome>,
-    /// Feasibility-pending points of the current grouped batch.
-    pending: Vec<Pending>,
-    /// Flat interned grid indices recorded by [`walk_point`]
-    /// (`Pending::start` indexes into it for grouped batches; the
-    /// ungrouped kernels truncate it back after every point) — the
-    /// compact record the grouped phase 3 regathers from, instead of
-    /// touching the large `DesignPoint`s out of order.
-    point_nodes: Vec<u32>,
-
-    /// Counting-sort histogram / placement cursor, indexed by MAC entry.
-    counts: Vec<u32>,
-    /// Per-MAC node-lane base offset / placement cursor of the permuted
-    /// `sorted_nodes` buffer.
-    node_base: Vec<u32>,
-    /// The pending records physically permuted into same-MAC runs
-    /// (stable: batch order within a run) — phase 3 streams them
-    /// sequentially instead of chasing indices.
-    sorted_pending: Vec<Pending>,
-    /// `point_nodes` permuted alongside `sorted_pending` (each record's
-    /// `start` is rewritten to its permuted position).
-    sorted_nodes: Vec<u32>,
-    /// Transposed tile lanes, `node j × point k` at stride `K` (the tile
-    /// width): `lane[j * K + k]` is node `j` of tile point `k`.
-    lane_energy: Vec<f64>,
-    lane_prd: Vec<f64>,
-    lane_delay: Vec<f64>,
-    /// Eq. 1 slot counts as exact f64 integers: with slot totals capped
-    /// at `MAX_GTS_SLOTS`, the Eq. 9 loop is pure (vectorizable) f64
-    /// arithmetic on them.
-    lane_slots: Vec<f64>,
-    /// Per-tile-point accumulators (length = tile width).
-    tile_sum_energy: Vec<f64>,
-    tile_sum_prd: Vec<f64>,
-    tile_sum_delay: Vec<f64>,
-    tile_control: Vec<f64>,
-    tile_totalf: Vec<f64>,
-    tile_acc: Vec<f64>,
-    tile_metric_energy: Vec<f64>,
-    tile_metric_delay: Vec<f64>,
-    tile_metric_prd: Vec<f64>,
-    /// Scalar scratch serving points that overflow the interning caps
-    /// ([`GRID_CAPACITY`] / [`MAC_CAPACITY`]): the kernel degrades to
-    /// the (bit-identical) scalar path instead of growing unboundedly.
+    /// Scalar scratch serving the spill path (off-axis picks, beacon
+    /// payloads, deployments past [`MAX_DENSE_NODES`], a full MAC
+    /// table): the kernel degrades to the (bit-identical) scalar path
+    /// instead of growing unboundedly.
     fallback: EvalScratch,
     /// Cumulative count of points served by the scalar spill path
     /// (off-axis picks, beacon payloads, deployments past
@@ -779,21 +703,6 @@ pub struct SoaScratch {
     /// on the path taken — but it lets harnesses *assert* that a
     /// workload really exercised the spill path instead of assuming it.
     spills: u64,
-}
-
-/// One feasibility-pending point of a grouped batch: everything the
-/// reduction phase needs, in one 16-byte streamable record.
-#[derive(Debug, Clone, Copy, Default)]
-struct Pending {
-    /// MAC entry index (the grouping key).
-    mac: u32,
-    /// Index of the point in the caller's batch.
-    point: u32,
-    /// Start of the point's grid indices in `SoaScratch::point_nodes`.
-    start: u32,
-    /// Eq. 1 slot total `Σ k(n)` (≤ capacity — overflows were resolved
-    /// by the phase 1 walk).
-    total: u32,
 }
 
 impl SoaScratch {
@@ -1137,17 +1046,10 @@ impl WbsnModel {
     }
 }
 
-/// Points per transposed tile of the MAC-grouped engine: the unit over
-/// which the Eq. 8/9 reductions run point-side-by-side. Wide enough to
-/// fill SIMD lanes with headroom, small enough that the `node × point`
-/// lane buffers of a 16-node deployment stay L1/L2-resident
-/// (16 × 128 × 8 B = 16 KiB per lane).
-const GROUP_TILE: usize = 128;
-
-/// Caller-owned flat output of the full-evaluation batch kernels
-/// ([`WbsnModel::evaluate_batch_full`] and its MAC-grouped sibling):
-/// everything [`WbsnModel::evaluate`] computes, laid out struct of
-/// arrays so figure-regeneration binaries can walk whole sweeps without
+/// Caller-owned flat output of the full-evaluation batch kernel
+/// ([`WbsnModel::evaluate_batch_full`]): everything
+/// [`WbsnModel::evaluate`] computes, laid out struct of arrays so
+/// figure-regeneration binaries can walk whole sweeps without
 /// materializing a [`SystemEvaluation`] per point.
 ///
 /// Point `i` of the evaluated batch owns lane range
@@ -1325,54 +1227,6 @@ impl FullEvalOut {
     }
 }
 
-/// Transposed Eq. 8: [`balanced_metric_with_sum`] for `k_count` points
-/// at once over `node × point` lanes of stride `k_count`, vectorizing
-/// over points instead of over the ≈6 nodes. Reproduces the scalar
-/// expression operation for operation — mean from the pre-accumulated
-/// sum, the left-fold sum of squared deviations in node order, then
-/// `mean + ϑ·std` — so every metric is bit-identical to the scalar
-/// form. `n ≥ 1` (empty networks are resolved before tiling).
-// verify: hot-path-begin(transposed-metric)
-fn transposed_metric(
-    lanes: &[f64],
-    sums: &[f64],
-    n: usize,
-    k_count: usize,
-    theta: f64,
-    acc: &mut [f64],
-    out: &mut [f64],
-) {
-    debug_assert!(n >= 1);
-    #[allow(clippy::cast_precision_loss)]
-    let nf = n as f64;
-    for k in 0..k_count {
-        out[k] = sums[k] / nf;
-    }
-    if n < 2 {
-        // `sample_std_about_mean` short-circuits to 0; keep the exact
-        // `mean + ϑ·0.0` arithmetic of the scalar form.
-        for k in 0..k_count {
-            out[k] += theta * 0.0;
-        }
-        return;
-    }
-    acc[..k_count].fill(0.0);
-    for j in 0..n {
-        let row = &lanes[j * k_count..(j + 1) * k_count];
-        let means = &out[..k_count];
-        for (k, a) in acc[..k_count].iter_mut().enumerate() {
-            let d = row[k] - means[k];
-            *a += d * d;
-        }
-    }
-    #[allow(clippy::cast_precision_loss)]
-    let denom = (n - 1) as f64;
-    for k in 0..k_count {
-        out[k] += theta * (acc[k] / denom).sqrt();
-    }
-}
-// verify: hot-path-end(transposed-metric)
-
 impl WbsnModel {
     /// Full-evaluation batch kernel: computes, for every point, exactly
     /// `self.evaluate(&p.mac, &p.nodes)` — bit-identical aggregate
@@ -1465,432 +1319,6 @@ impl WbsnModel {
                     }));
                 }
             }
-        }
-    }
-
-    /// MAC-grouped variant of [`WbsnModel::evaluate_objectives_batch`]:
-    /// same contract (bit-identical objectives and errors, result slice
-    /// valid until the next call), different execution order — points
-    /// are grouped by interned `(MAC configuration, node count)` entry
-    /// and reduced side by side over transposed `node × point` lanes, so
-    /// the Eq. 8/9 inner loops vectorize over up to [`GROUP_TILE`]
-    /// points instead of over the ≈6 nodes (see the module docs).
-    pub fn evaluate_objectives_batch_grouped<'s>(
-        &self,
-        points: &[DesignPoint],
-        scratch: &'s mut SoaScratch,
-    ) -> &'s [PointOutcome] {
-        self.grouped_batch::<false>(points, scratch, None);
-        &scratch.results
-    }
-
-    /// MAC-grouped variant of [`WbsnModel::evaluate_batch_full`]: same
-    /// output contract (bit-identical lanes, outcomes and offsets),
-    /// grouped execution as in
-    /// [`WbsnModel::evaluate_objectives_batch_grouped`].
-    pub fn evaluate_batch_full_grouped(
-        &self,
-        points: &[DesignPoint],
-        scratch: &mut SoaScratch,
-        out: &mut FullEvalOut,
-    ) {
-        self.grouped_batch::<true>(points, scratch, Some(out));
-    }
-
-    /// The MAC-grouped engine behind both grouped entry points
-    /// (monomorphized per mode: the `FULL = false` instantiation carries
-    /// no full-lane code in its hot walk).
-    ///
-    /// Three phases:
-    ///
-    /// 1. **Walk** every point in batch order — literally the ungrouped
-    ///    kernel's walk (the shared [`walk_point`] helper): one dense
-    ///    grid load per node, node-outcome failures stopping at the
-    ///    failing node, assignment infeasibility resolved in
-    ///    `assign_slots_into` order. Every infeasible (or axis-spilled)
-    ///    point is resolved here; every feasible point is deferred as a
-    ///    *pending* record over its walked grid indices. The sequential
-    ///    walk keeps the (large) `DesignPoint`s prefetcher-friendly; the
-    ///    compact records are what the reordered phase 3 touches.
-    /// 2. **Group**: a stable counting sort turns the pending points
-    ///    into contiguous same-MAC runs (batch order preserved within a
-    ///    run).
-    /// 3. **Reduce** each run in [`GROUP_TILE`]-point tiles: gather the
-    ///    per-node cell scalars into transposed `node × point` lanes,
-    ///    then run the Eq. 9 delay loop and the Eq. 8 metrics with
-    ///    points side by side in their inner loops — branch-free, since
-    ///    phase 1 already resolved every infeasibility. Results are
-    ///    written back to each point's batch position, so output order
-    ///    never depends on grouping.
-    ///
-    /// With `FULL`, per-node lanes are additionally written into the
-    /// caller's [`FullEvalOut`] (point-major, during the sequential
-    /// phase 1; the delay lane during phase 3) and infeasible points are
-    /// zero-filled.
-    #[allow(clippy::too_many_lines)]
-    fn grouped_batch<const FULL: bool>(
-        &self,
-        points: &[DesignPoint],
-        scratch: &mut SoaScratch,
-        mut full: Option<&mut FullEvalOut>,
-    ) {
-        scratch.revalidate(self);
-        let retransmission_factor = 1.0 / (1.0 - self.packet_error_rate());
-        let theta = self.theta();
-        if FULL {
-            full.as_deref_mut().expect("full mode carries an output buffer").reset(points);
-        }
-        let SoaScratch {
-            grid,
-            macs,
-            cells,
-            results,
-            pending,
-            point_nodes,
-            counts,
-            node_base,
-            sorted_pending,
-            sorted_nodes,
-            lane_energy,
-            lane_prd,
-            lane_delay,
-            lane_slots,
-            tile_sum_energy,
-            tile_sum_prd,
-            tile_sum_delay,
-            tile_control,
-            tile_totalf,
-            tile_acc,
-            tile_metric_energy,
-            tile_metric_delay,
-            tile_metric_prd,
-            fallback,
-            spills,
-            ..
-        } = scratch;
-        // Every slot of `results` is overwritten below — phase 1 resolves
-        // its point in place or defers it to a tile, whose write-back
-        // covers every pending point — so a same-length buffer from the
-        // previous batch needs no re-initialization (overwriting drops
-        // the stale outcomes); only a resize needs the placeholder.
-        if results.len() != points.len() {
-            results.clear();
-            results.resize(
-                points.len(),
-                Err(ModelError::GtsCapacityExceeded { required: 0, available: 0 }),
-            );
-        }
-        pending.clear();
-        point_nodes.clear();
-
-        // Phase 1: the sequential walk (the shared [`walk_point`]
-        // helper); resolves every infeasibility, defers every feasible
-        // point as a compact pending record over its walked indices
-        // (recorded by the sink — only the grouped engine needs them
-        // after the walk).
-        for (pi, point) in points.iter().enumerate() {
-            let start = u32::try_from(point_nodes.len()).expect("flat node count fits u32");
-            let walked = if FULL {
-                let o = full.as_deref_mut().expect("full mode carries an output buffer");
-                let off = o.offsets[pi] as usize;
-                let FullEvalOut { sensor, mcu, memory, radio, energy, prd, slots, .. } = &mut *o;
-                walk_point(
-                    self,
-                    grid,
-                    macs,
-                    cells,
-                    point,
-                    retransmission_factor,
-                    |j, g, cell, entries, radio_lane| {
-                        point_nodes.push(g as u32);
-                        let ge = &entries[g];
-                        let o_j = off + j;
-                        sensor[o_j] = ge.sensor;
-                        mcu[o_j] = ge.mcu;
-                        memory[o_j] = ge.memory;
-                        radio[o_j] = radio_lane[g];
-                        energy[o_j] = cell.energy;
-                        prd[o_j] = cell.prd;
-                        slots[o_j] = cell.k;
-                    },
-                )
-            } else {
-                walk_point(
-                    self,
-                    grid,
-                    macs,
-                    cells,
-                    point,
-                    retransmission_factor,
-                    |_, g, _, _, _| point_nodes.push(g as u32),
-                )
-            };
-            match walked {
-                Walked::Spill => {
-                    point_nodes.truncate(start as usize);
-                    *spills += 1;
-                    results[pi] =
-                        self.grouped_spill::<FULL>(point, pi, full.as_deref_mut(), fallback);
-                }
-                Walked::Dead(err) => {
-                    point_nodes.truncate(start as usize);
-                    if FULL {
-                        full.as_deref_mut()
-                            .expect("full mode carries an output buffer")
-                            .zero_point(pi);
-                    }
-                    results[pi] = Err(err);
-                }
-                Walked::Alive { mac, total, .. } => {
-                    pending.push(Pending {
-                        mac: u32::try_from(mac).expect("MAC entry index fits u32"),
-                        point: u32::try_from(pi).expect("point index fits u32"),
-                        start,
-                        total,
-                    });
-                }
-            }
-        }
-
-        // Phase 2: stable counting sort of the pending points by MAC
-        // entry — same-MAC points become contiguous runs, batch order
-        // preserved within each run. The records (and their interned
-        // node indices) are physically permuted, not just indexed, so
-        // the reduction phase streams memory sequentially. The histogram
-        // runs after phase 1 (which interns new MAC entries under it),
-        // so it is sized to the final entry count.
-        counts.clear();
-        counts.resize(macs.entries.len() + 1, 0);
-        for p in pending.iter() {
-            counts[p.mac as usize + 1] += 1;
-        }
-        node_base.clear();
-        node_base.resize(macs.entries.len(), 0);
-        let mut slot = 0u32;
-        let mut node_off = 0u32;
-        for m in 0..macs.entries.len() {
-            let c = counts[m + 1];
-            counts[m] = slot;
-            node_base[m] = node_off;
-            slot += c;
-            node_off += c * macs.entries[m].n_nodes;
-        }
-        sorted_pending.clear();
-        sorted_pending.resize(pending.len(), Pending::default());
-        sorted_nodes.clear();
-        sorted_nodes.resize(point_nodes.len(), 0);
-        for p in pending.iter() {
-            let m = p.mac as usize;
-            let n = macs.entries[m].n_nodes as usize;
-            let s = counts[m] as usize;
-            counts[m] += 1;
-            let nd = node_base[m] as usize;
-            node_base[m] += n as u32;
-            let start = p.start as usize;
-            sorted_nodes[nd..nd + n].copy_from_slice(&point_nodes[start..start + n]);
-            sorted_pending[s] = Pending { start: nd as u32, ..*p };
-        }
-
-        // Phase 3: branch-free transposed reduction per same-MAC run,
-        // streaming the permuted records sequentially.
-        let mut run = 0usize;
-        while run < sorted_pending.len() {
-            let mac = sorted_pending[run].mac as usize;
-            let mut run_end = run + 1;
-            while run_end < sorted_pending.len() && sorted_pending[run_end].mac as usize == mac {
-                run_end += 1;
-            }
-            let me = &macs.entries[mac];
-            let block = &cells[mac];
-            let n = me.n_nodes as usize;
-
-            if n == 0 {
-                // Empty networks are trivially feasible; reuse the
-                // scalar metric form directly.
-                let objectives = NetworkObjectives {
-                    energy: balanced_metric_with_sum(&[], 0.0, theta),
-                    delay: balanced_metric_with_sum(&[], 0.0, theta),
-                    prd: balanced_metric_with_sum(&[], 0.0, theta),
-                };
-                for p in &sorted_pending[run..run_end] {
-                    results[p.point as usize] = Ok(objectives);
-                }
-                run = run_end;
-                continue;
-            }
-
-            if lane_energy.len() < n * GROUP_TILE {
-                lane_energy.resize(n * GROUP_TILE, 0.0);
-                lane_prd.resize(n * GROUP_TILE, 0.0);
-                lane_delay.resize(n * GROUP_TILE, 0.0);
-                lane_slots.resize(n * GROUP_TILE, 0.0);
-            }
-            if tile_sum_energy.len() < GROUP_TILE {
-                tile_sum_energy.resize(GROUP_TILE, 0.0);
-                tile_sum_prd.resize(GROUP_TILE, 0.0);
-                tile_sum_delay.resize(GROUP_TILE, 0.0);
-                tile_control.resize(GROUP_TILE, 0.0);
-                tile_totalf.resize(GROUP_TILE, 0.0);
-                tile_acc.resize(GROUP_TILE, 0.0);
-                tile_metric_energy.resize(GROUP_TILE, 0.0);
-                tile_metric_delay.resize(GROUP_TILE, 0.0);
-                tile_metric_prd.resize(GROUP_TILE, 0.0);
-            }
-
-            // verify: hot-path-begin(grouped-tile-loop)
-            for tile in sorted_pending[run..run_end].chunks(GROUP_TILE) {
-                let kk = tile.len();
-                // Exact-length views drop the bounds checks (and Vec
-                // double-derefs) of the hot stores.
-                let (le, lp, ls) = (
-                    &mut lane_energy[..n * kk],
-                    &mut lane_prd[..n * kk],
-                    &mut lane_slots[..n * kk],
-                );
-                let ttf = &mut tile_totalf[..kk];
-                let tc = &mut tile_control[..kk];
-                let tse = &mut tile_sum_energy[..kk];
-                let tsp = &mut tile_sum_prd[..kk];
-
-                // Gather: streamed pending records → transposed lanes.
-                // Slot counts are stored as exact f64 integers — with
-                // `total ≤ capacity = MAX_GTS_SLOTS` every Eq. 9 integer
-                // stays exactly representable, so f64 lane arithmetic is
-                // bit-identical to the scalar u32→f64 form.
-                for (k, p) in tile.iter().enumerate() {
-                    let start = p.start as usize;
-                    ttf[k] = f64::from(p.total);
-                    tc[k] = me.control[p.total as usize];
-                    // Eq. 8 element sums accumulate here, while the cell
-                    // is in registers — in the scalar left-fold (node)
-                    // order, so they carry `iter().sum()`'s exact bits.
-                    let mut sum_energy = 0.0f64;
-                    let mut sum_prd = 0.0f64;
-                    let mut lane = k;
-                    for &g in &sorted_nodes[start..start + n] {
-                        let cell = block.cells[g as usize];
-                        le[lane] = cell.energy;
-                        lp[lane] = cell.prd;
-                        ls[lane] = cell.kf;
-                        sum_energy += cell.energy;
-                        sum_prd += cell.prd;
-                        lane += kk;
-                    }
-                    tse[k] = sum_energy;
-                    tsp[k] = sum_prd;
-                }
-
-                // Eq. 9, points side by side in the inner loop. Pure f64
-                // and bit-identical to the scalar form: `others` and the
-                // slot counts are exact small integers, so `ttf − kj`
-                // carries the very bits of `f64::from(others)`; and with
-                // `others ≤ capacity = MAX_GTS_SLOTS` the superframe
-                // ceil term is identically 1 — multiplying the control
-                // time by exactly 1.0, i.e. adding `tc[k]` unchanged
-                // (the kernel's MacEntry is always IEEE 802.15.4, whose
-                // capacity equals MAX_GTS_SLOTS; alive lanes passed the
-                // capacity check, dead lanes are zeroed).
-                {
-                    let tsd = &mut tile_sum_delay[..kk];
-                    tsd.fill(0.0);
-                    let (delta, pkt) = (me.delta, me.pkt);
-                    debug_assert!(me.capacity <= MAX_GTS_SLOTS);
-                    for j in 0..n {
-                        let slots_row = &ls[j * kk..(j + 1) * kk];
-                        let delay_row = &mut lane_delay[j * kk..(j + 1) * kk];
-                        for k in 0..kk {
-                            let kj = slots_row[k];
-                            let d = delta * (ttf[k] - kj) + tc[k] + delta * kj + pkt;
-                            delay_row[k] = d;
-                            tsd[k] += d;
-                        }
-                    }
-                }
-
-                // Eq. 8, points side by side in the inner loop.
-                transposed_metric(
-                    le,
-                    tse,
-                    n,
-                    kk,
-                    theta,
-                    &mut tile_acc[..kk],
-                    &mut tile_metric_energy[..kk],
-                );
-                transposed_metric(
-                    &lane_delay[..n * kk],
-                    &tile_sum_delay[..kk],
-                    n,
-                    kk,
-                    theta,
-                    &mut tile_acc[..kk],
-                    &mut tile_metric_delay[..kk],
-                );
-                transposed_metric(
-                    lp,
-                    tsp,
-                    n,
-                    kk,
-                    theta,
-                    &mut tile_acc[..kk],
-                    &mut tile_metric_prd[..kk],
-                );
-
-                // Restore batch order on output.
-                for (k, p) in tile.iter().enumerate() {
-                    let pi = p.point as usize;
-                    results[pi] = Ok(NetworkObjectives {
-                        energy: tile_metric_energy[k],
-                        delay: tile_metric_delay[k],
-                        prd: tile_metric_prd[k],
-                    });
-                    if FULL {
-                        let o = full.as_deref_mut().expect("full mode carries an output buffer");
-                        let off = o.offsets[pi] as usize;
-                        for j in 0..n {
-                            o.delay[off + j] = lane_delay[j * kk + k];
-                        }
-                    }
-                }
-            }
-            // verify: hot-path-end(grouped-tile-loop)
-            run = run_end;
-        }
-
-        // Outcomes live in `results` during the walk; for full batches
-        // the caller reads them from `out`, so hand the buffer over
-        // (the swapped-in vector is recycled next call).
-        if FULL {
-            let o = full.expect("full mode carries an output buffer");
-            std::mem::swap(&mut o.outcomes, results);
-        }
-    }
-
-    /// Interning-overflow spill of the grouped engine: degrade the point
-    /// to the (bit-identical) scalar path, filling the full lanes when
-    /// in full mode.
-    #[cold]
-    fn grouped_spill<const FULL: bool>(
-        &self,
-        point: &DesignPoint,
-        pi: usize,
-        full: Option<&mut FullEvalOut>,
-        fallback: &mut EvalScratch,
-    ) -> PointOutcome {
-        if FULL {
-            let o = full.expect("full mode carries an output buffer");
-            match self.evaluate(&point.mac, &point.nodes) {
-                Ok(eval) => {
-                    o.write_point_from_eval(pi, &eval);
-                    Ok(eval.objectives)
-                }
-                Err(e) => {
-                    o.zero_point(pi);
-                    Err(e)
-                }
-            }
-        } else {
-            self.evaluate_objectives(&point.mac, &point.nodes, fallback)
         }
     }
 }
@@ -1997,7 +1425,7 @@ mod tests {
 
     /// The spill counter attributes points to the right engine: fully
     /// on-axis batches never touch it, off-axis picks are counted once
-    /// per point, on every kernel (plain, axis-run, grouped, full).
+    /// per point, on every kernel (plain, axis-run, full).
     #[test]
     fn spill_count_tracks_off_axis_points_on_every_kernel() {
         let model = WbsnModel::shimmer();
@@ -2011,13 +1439,12 @@ mod tests {
             p.nodes[0].cr += 5e-4; // a tiny nudge is enough: indexing is bitwise
         }
         let mut full = FullEvalOut::new();
-        for kernel in 0..4u8 {
+        for kernel in 0..3u8 {
             let mut soa = SoaScratch::new();
             let run =
                 |pts: &[DesignPoint], soa: &mut SoaScratch, full: &mut FullEvalOut| match kernel {
                     0 => drop(model.evaluate_objectives_batch(pts, soa)),
                     1 => drop(model.evaluate_objectives_batch_axis_runs(pts, soa)),
-                    2 => drop(model.evaluate_objectives_batch_grouped(pts, soa)),
                     _ => model.evaluate_batch_full(pts, soa, full),
                 };
             run(&on_axis, &mut soa, &mut full);
@@ -2052,7 +1479,8 @@ mod tests {
         assert!(model.evaluate_objectives_batch(&[], &mut soa).is_empty());
         let empty_point =
             DesignPoint { mac: Ieee802154Config::default(), nodes: crate::space::NodeVec::new() };
-        assert_batch_matches_scalar(&model, &[empty_point]);
+        assert_batch_matches_scalar(&model, std::slice::from_ref(&empty_point));
+        assert_full_matches_scalar(&model, &[empty_point]);
     }
 
     #[test]
@@ -2105,83 +1533,55 @@ mod tests {
             points.extend(space.sample_sweep(20));
         }
         assert_batch_matches_scalar(&model, &points);
-        assert_grouped_matches_ungrouped(&model, &points);
         assert_full_matches_scalar(&model, &points);
     }
 
-    /// Grouped objectives must be bit-identical (values AND errors) to
-    /// the ungrouped kernel — which is itself proven against the scalar
-    /// path — through one shared scratch.
-    fn assert_grouped_matches_ungrouped(model: &WbsnModel, points: &[DesignPoint]) {
-        let mut soa = SoaScratch::new();
-        let ungrouped: Vec<PointOutcome> =
-            model.evaluate_objectives_batch(points, &mut soa).to_vec();
-        let grouped: Vec<PointOutcome> =
-            model.evaluate_objectives_batch_grouped(points, &mut soa).to_vec();
-        assert_eq!(ungrouped.len(), grouped.len());
-        for (i, (u, g)) in ungrouped.iter().zip(&grouped).enumerate() {
-            match (u, g) {
-                (Ok(a), Ok(b)) => {
-                    assert_eq!(a.energy.to_bits(), b.energy.to_bits(), "point {i}");
-                    assert_eq!(a.delay.to_bits(), b.delay.to_bits(), "point {i}");
-                    assert_eq!(a.prd.to_bits(), b.prd.to_bits(), "point {i}");
-                }
-                (Err(a), Err(b)) => assert_eq!(a, b, "point {i}"),
-                (a, b) => panic!("point {i}: feasibility disagreement: {a:?} vs {b:?}"),
-            }
-        }
-    }
-
-    /// Full-evaluation batches (grouped and ungrouped) must reproduce
-    /// the scalar `evaluate()` bit for bit: aggregate objectives, every
-    /// per-node lane, identical errors, zero-filled infeasible ranges.
+    /// Full-evaluation batches must reproduce the scalar `evaluate()`
+    /// bit for bit: aggregate objectives, every per-node lane, identical
+    /// errors, zero-filled infeasible ranges.
     fn assert_full_matches_scalar(model: &WbsnModel, points: &[DesignPoint]) {
         let mut soa = SoaScratch::new();
         let mut out = FullEvalOut::new();
-        let mut out_grouped = FullEvalOut::new();
         model.evaluate_batch_full(points, &mut soa, &mut out);
-        model.evaluate_batch_full_grouped(points, &mut soa, &mut out_grouped);
-        for current in [&out, &out_grouped] {
-            assert_eq!(current.len(), points.len());
-            for (i, p) in points.iter().enumerate() {
-                let r = current.node_range(i);
-                assert_eq!(r.len(), p.nodes.len(), "point {i}: lane range length");
-                match (model.evaluate(&p.mac, &p.nodes), &current.outcomes()[i]) {
-                    (Ok(eval), Ok(obj)) => {
-                        assert_eq!(eval.objectives.energy.to_bits(), obj.energy.to_bits());
-                        assert_eq!(eval.objectives.delay.to_bits(), obj.delay.to_bits());
-                        assert_eq!(eval.objectives.prd.to_bits(), obj.prd.to_bits());
-                        for (j, node) in eval.per_node.iter().enumerate() {
-                            let o = r.start + j;
-                            let lanes = [
-                                (current.sensor()[o], node.energy.sensor.mj_per_s()),
-                                (current.mcu()[o], node.energy.mcu.mj_per_s()),
-                                (current.memory()[o], node.energy.memory.mj_per_s()),
-                                (current.radio()[o], node.energy.radio.mj_per_s()),
-                                (current.energy()[o], node.energy.total().mj_per_s()),
-                                (current.delay()[o], node.delay_bound.value()),
-                                (current.prd()[o], node.prd),
-                            ];
-                            for (got, want) in lanes {
-                                assert_eq!(
-                                    got.to_bits(),
-                                    want.to_bits(),
-                                    "point {i} node {j}: {got} vs {want}"
-                                );
-                            }
-                            assert_eq!(current.slots()[o], node.slots, "point {i} node {j}");
+        assert_eq!(out.len(), points.len());
+        for (i, p) in points.iter().enumerate() {
+            let r = out.node_range(i);
+            assert_eq!(r.len(), p.nodes.len(), "point {i}: lane range length");
+            match (model.evaluate(&p.mac, &p.nodes), &out.outcomes()[i]) {
+                (Ok(eval), Ok(obj)) => {
+                    assert_eq!(eval.objectives.energy.to_bits(), obj.energy.to_bits());
+                    assert_eq!(eval.objectives.delay.to_bits(), obj.delay.to_bits());
+                    assert_eq!(eval.objectives.prd.to_bits(), obj.prd.to_bits());
+                    for (j, node) in eval.per_node.iter().enumerate() {
+                        let o = r.start + j;
+                        let lanes = [
+                            (out.sensor()[o], node.energy.sensor.mj_per_s()),
+                            (out.mcu()[o], node.energy.mcu.mj_per_s()),
+                            (out.memory()[o], node.energy.memory.mj_per_s()),
+                            (out.radio()[o], node.energy.radio.mj_per_s()),
+                            (out.energy()[o], node.energy.total().mj_per_s()),
+                            (out.delay()[o], node.delay_bound.value()),
+                            (out.prd()[o], node.prd),
+                        ];
+                        for (got, want) in lanes {
+                            assert_eq!(
+                                got.to_bits(),
+                                want.to_bits(),
+                                "point {i} node {j}: {got} vs {want}"
+                            );
                         }
+                        assert_eq!(out.slots()[o], node.slots, "point {i} node {j}");
                     }
-                    (Err(a), Err(b)) => {
-                        assert_eq!(&a, b, "point {i}");
-                        assert!(
-                            current.energy()[r.clone()].iter().all(|&v| v == 0.0)
-                                && current.slots()[r.clone()].iter().all(|&v| v == 0),
-                            "point {i}: infeasible lanes must be zero-filled"
-                        );
-                    }
-                    (a, b) => panic!("point {i}: feasibility disagreement: {a:?} vs {b:?}"),
                 }
+                (Err(a), Err(b)) => {
+                    assert_eq!(&a, b, "point {i}");
+                    assert!(
+                        out.energy()[r.clone()].iter().all(|&v| v == 0.0)
+                            && out.slots()[r.clone()].iter().all(|&v| v == 0),
+                        "point {i}: infeasible lanes must be zero-filled"
+                    );
+                }
+                (a, b) => panic!("point {i}: feasibility disagreement: {a:?} vs {b:?}"),
             }
         }
     }
@@ -2201,59 +1601,10 @@ mod tests {
         points[3].mac.bco = 5; // SFO > BCO
         points[5].nodes[2].cr = 0.0; // invalid CR
         points[7].nodes[0].f_mcu = Hertz::from_mhz(1.0); // DWT duty overflow
-        let model = WbsnModel::shimmer();
-        assert_full_matches_scalar(&model, &points);
-        assert_grouped_matches_ungrouped(&model, &points);
+        assert_full_matches_scalar(&WbsnModel::shimmer(), &points);
         // Capacity/bandwidth errors under heavy loss.
         let lossy = WbsnModel::shimmer().with_packet_error_rate(0.92);
-        let points = space.sample_sweep(40);
-        assert_full_matches_scalar(&lossy, &points);
-        assert_grouped_matches_ungrouped(&lossy, &points);
-    }
-
-    #[test]
-    fn grouped_sweep_matches_ungrouped_with_theta_and_loss() {
-        let space = DesignSpace::case_study(5);
-        let model = WbsnModel::shimmer().with_packet_error_rate(0.3).with_theta(0.4);
-        assert_grouped_matches_ungrouped(&model, &space.sample_sweep(500));
-    }
-
-    /// A grouped call on a COLD scratch must intern everything itself
-    /// (regression: the counting-sort histogram is sized before phase 1
-    /// interns new MAC entries).
-    #[test]
-    fn grouped_works_on_a_cold_scratch() {
-        let space = DesignSpace::case_study(6);
-        let points = space.sample_sweep(300);
-        let model = WbsnModel::shimmer();
-        let mut cold = SoaScratch::new();
-        let grouped: Vec<PointOutcome> =
-            model.evaluate_objectives_batch_grouped(&points, &mut cold).to_vec();
-        let mut scalar = EvalScratch::new();
-        for (p, outcome) in points.iter().zip(grouped) {
-            let reference = model.evaluate_objectives(&p.mac, &p.nodes, &mut scalar);
-            match (reference, outcome) {
-                (Ok(a), Ok(b)) => assert_eq!(a.energy.to_bits(), b.energy.to_bits()),
-                (Err(a), Err(b)) => assert_eq!(a, b),
-                (a, b) => panic!("disagreement: {a:?} vs {b:?}"),
-            }
-        }
-        let mut cold_full = SoaScratch::new();
-        let mut out = FullEvalOut::new();
-        model.evaluate_batch_full_grouped(&points, &mut cold_full, &mut out);
-        assert_eq!(out.len(), points.len());
-    }
-
-    #[test]
-    fn grouped_handles_empty_points_and_batches() {
-        let model = WbsnModel::shimmer();
-        let mut soa = SoaScratch::new();
-        assert!(model.evaluate_objectives_batch_grouped(&[], &mut soa).is_empty());
-        let empty_point =
-            DesignPoint { mac: Ieee802154Config::default(), nodes: crate::space::NodeVec::new() };
-        let points = vec![empty_point];
-        assert_grouped_matches_ungrouped(&model, &points);
-        assert_full_matches_scalar(&model, &points);
+        assert_full_matches_scalar(&lossy, &space.sample_sweep(40));
     }
 
     /// Mixing objective-only and full batches through one scratch shares
@@ -2268,9 +1619,8 @@ mod tests {
         let objectives: Vec<PointOutcome> =
             model.evaluate_objectives_batch(&points, &mut soa).to_vec();
         model.evaluate_batch_full(&points, &mut soa, &mut out);
-        let grouped: Vec<PointOutcome> =
-            model.evaluate_objectives_batch_grouped(&points, &mut soa).to_vec();
-        for ((a, b), c) in objectives.iter().zip(out.outcomes()).zip(&grouped) {
+        let again: Vec<PointOutcome> = model.evaluate_objectives_batch(&points, &mut soa).to_vec();
+        for ((a, b), c) in objectives.iter().zip(out.outcomes()).zip(&again) {
             match (a, b, c) {
                 (Ok(a), Ok(b), Ok(c)) => {
                     assert_eq!(a.energy.to_bits(), b.energy.to_bits());

@@ -5,30 +5,27 @@
 //! state-of-the-art baseline the paper compares against ([26]): the same
 //! energy/delay physics but *blind to application quality* — the reason
 //! it recovers only ~7 % of the true trade-offs (Fig. 5).
+//! [`LifetimeEvaluator`] adds a fourth, battery-lifetime objective.
 //!
-//! Both model-backed evaluators override [`Evaluator::evaluate_batch`]
-//! with a parallel implementation whose per-worker engine is the
-//! struct-of-arrays kernel (`wbsn_model::soa`), **keyed on node count**
-//! per homogeneous run of the batch: narrow networks (the ≈6-node case
-//! study) run the straight per-point
-//! [`WbsnModel::evaluate_objectives_batch`] walk, while wide
-//! deployments (≥ [`GROUPED_MIN_NODES`] nodes) run the MAC-grouped
-//! [`WbsnModel::evaluate_objectives_batch_grouped`] variant
-//! whose transposed `node × point` tiles only pay off once networks are
-//! wide enough to amortize the permutation. Both run through interned
-//! dense node/MAC tables held in a pooled [`SoaScratch`]. Small batches
-//! fall back to the scalar per-point [`WbsnModel::evaluate_objectives`]
-//! path (one [`EvalScratch`] per worker) — the `SoA` tables only pay
-//! off once a chunk amortizes them. All engines are bit-identical to
-//! the full model evaluation, so the choice is invisible to callers.
-//! [`SerialEvaluator`] opts any evaluator back into the one-at-a-time
-//! default — the baseline the speedup is measured against and the
-//! reference for determinism tests.
+//! All three override [`Evaluator::evaluate_batch`] with one batch path:
+//! every batch, whatever its size or node count, runs through its
+//! lane's struct-of-arrays kernel (`wbsn_model::soa`) —
+//! [`WbsnModel::evaluate_objectives_batch`] (or its axis-run sibling
+//! for [`Evaluator::evaluate_batch_axis_runs`]) for the two objective
+//! lanes, [`WbsnModel::evaluate_batch_full`] for the lifetime lane —
+//! through interned dense node/MAC tables held in a pooled
+//! [`SoaScratch`]. A batch that fits one [`SOA_CHUNK`], or any batch
+//! when one thread is configured, runs inline on the calling thread;
+//! larger ones fan out chunk by chunk across the workers. Every kernel
+//! is bit-identical to the full model evaluation, so the path is
+//! invisible to callers. [`SerialEvaluator`] opts any evaluator back
+//! into the one-at-a-time default — the baseline the speedup is
+//! measured against and the reference for determinism tests.
 
 use crate::objective::ObjectiveVector;
-use crate::parallel::{parallel_map_with, parallel_map_with_block};
+use crate::parallel::{num_threads, parallel_map_with_block};
 use std::sync::{Arc, Mutex};
-use wbsn_model::evaluate::{EvalScratch, WbsnModel};
+use wbsn_model::evaluate::WbsnModel;
 use wbsn_model::lifetime::Battery;
 use wbsn_model::soa::{FullEvalOut, SoaScratch};
 use wbsn_model::space::DesignPoint;
@@ -99,8 +96,8 @@ impl<E: Evaluator> Evaluator for SerialEvaluator<E> {
 /// Pool of warm per-worker states shared by the batch workers of one
 /// evaluator: `evaluate_batch` is called once per NSGA-II generation, and
 /// without a pool each call would rebuild its scratches and re-derive the
-/// interned tables / `(kind, CR, fµC)` memo from scratch. Workers take a
-/// state on start and return it (tables intact) when the batch ends.
+/// interned kernel tables from scratch. Workers take a state on start
+/// and return it (tables intact) when the batch ends.
 #[derive(Debug, Default)]
 struct Pool<T>(Mutex<Vec<T>>);
 
@@ -137,115 +134,63 @@ impl<T: Default> Drop for Pooled<T> {
     }
 }
 
-/// Batches below this size take the scalar per-point path: the `SoA`
-/// kernel's per-chunk table walk only pays off once a chunk amortizes
-/// it, and searchers routinely evaluate a handful of stragglers.
-const SOA_MIN_BATCH: usize = 64;
-
-/// Points per `SoA` chunk: one work unit handed to a pooled kernel
-/// scratch. Large enough to amortize chunk bookkeeping, small enough to
-/// split a generation-sized batch across every core.
+/// Points per `SoA` chunk: the batch size run inline on the calling
+/// thread, and above it the work unit handed to one worker's pooled
+/// kernel scratch. Large enough to amortize chunk bookkeeping, small
+/// enough to split a large batch across every core.
 const SOA_CHUNK: usize = 1024;
 
-/// Node count at which the per-chunk engine switches from the ungrouped
-/// `SoA` kernel to the MAC-grouped one. With interning reduced to dense
-/// loads, the straight walk wins on narrow networks; the grouped
-/// engine's counting-sort permutation and transposed tiles only out-run
-/// it once networks are wide enough (crossover measured ≈16 nodes on
-/// the case-study sweeps — see `dse_throughput`'s 16-node section and
-/// the ROADMAP crossover note). Both engines are bit-identical, so the
-/// threshold is pure tuning.
-const GROUPED_MIN_NODES: usize = 16;
-
-/// Shared warm state of the two model-backed evaluators: a pool of `SoA`
-/// kernel scratches for real batches and a pool of scalar scratches for
-/// the small-batch fallback.
-#[derive(Debug, Clone, Default)]
-struct ModelPools {
-    soa: Arc<Pool<SoaScratch>>,
-    scalar: Arc<Pool<EvalScratch>>,
+/// The one batch dispatcher behind every model-backed evaluator: runs
+/// `kernel` over the whole batch inline through one pooled state when
+/// the batch fits a [`SOA_CHUNK`] or one thread is configured, and
+/// otherwise fans [`SOA_CHUNK`]-point chunks out across the workers,
+/// each worker leasing its own warm state. `kernel` maps a chunk to its
+/// per-point results in order, so the output order never depends on
+/// the split.
+fn dispatch<T: Default + Send>(
+    pool: &Arc<Pool<T>>,
+    points: &[DesignPoint],
+    kernel: impl Fn(&mut T, &[DesignPoint]) -> Vec<Option<ObjectiveVector>> + Sync,
+) -> Vec<Option<ObjectiveVector>> {
+    if points.len() <= SOA_CHUNK || num_threads() == 1 {
+        return kernel(&mut pool.take().state, points);
+    }
+    let chunks: Vec<&[DesignPoint]> = points.chunks(SOA_CHUNK).collect();
+    let per_chunk: Vec<Vec<Option<ObjectiveVector>>> = parallel_map_with_block(
+        &chunks,
+        1,
+        || pool.take(),
+        |pooled, chunk| kernel(&mut pooled.state, chunk),
+    );
+    per_chunk.into_iter().flatten().collect()
 }
 
-/// Order-preserving parallel batch evaluation through the `SoA` kernel:
-/// the batch is split into homogeneous node-count runs, each run cut
-/// into [`SOA_CHUNK`]-point chunks, and each worker runs whole chunks
-/// through a pooled [`SoaScratch`] and projects the per-point outcomes
-/// with `project`. The engine is keyed per run on its node count —
-/// ungrouped walk below [`GROUPED_MIN_NODES`], MAC-grouped
-/// transposition at or above it — never on the batch's first point.
-/// Falls back to the scalar [`WbsnModel::evaluate_objectives`]
-/// per-point path for batches too small to amortize the kernel. All
-/// engines are bit-identical to the full model evaluation, so results
-/// do not depend on the path taken.
-fn batch_through_soa(
+/// The objective lanes' kernel under [`dispatch`]: the plain `SoA`
+/// objectives kernel, or its axis-run sibling when the caller promises
+/// that layout (`axis_runs`), with each feasible outcome projected by
+/// `project`.
+fn objectives_batch(
     model: &WbsnModel,
-    pools: &ModelPools,
+    pool: &Arc<Pool<SoaScratch>>,
     points: &[DesignPoint],
     axis_runs: bool,
     project: impl Fn(&NetworkObjectives) -> ObjectiveVector + Sync,
 ) -> Vec<Option<ObjectiveVector>> {
-    if points.len() < SOA_MIN_BATCH {
-        return parallel_map_with(
-            points,
-            || pools.scalar.take(),
-            |pooled, point| {
-                model
-                    .evaluate_objectives(&point.mac, &point.nodes, &mut pooled.state)
-                    .ok()
-                    .map(|o| project(&o))
-            },
-        );
-    }
-    // Node-count-keyed engine choice: grouped only pays off on wide
-    // networks. The batch is split into homogeneous node-count runs
-    // (coalesced super-batches mix request shapes; search batches decode
-    // from one space, so they are a single run) and chunks never span a
-    // run boundary, so each chunk's engine is keyed on its *own* first
-    // point — a 6-node member never drags an 18-node sibling onto the
-    // ungrouped walk. Both engines are bit-identical, so the split is
-    // pure dispatch. `axis_runs` (the caller's layout hint) selects the
-    // shared-prefix kernel on narrow networks; the grouped engine
-    // already amortizes across points its own way, so the hint defers
-    // to it on wide ones.
-    let run_kernel =
-        |scratch: &mut SoaScratch, chunk: &[DesignPoint]| -> Vec<Option<ObjectiveVector>> {
-            let grouped = chunk.first().is_some_and(|p| p.nodes.len() >= GROUPED_MIN_NODES);
-            let outcomes = if grouped {
-                model.evaluate_objectives_batch_grouped(chunk, scratch)
-            } else if axis_runs {
-                model.evaluate_objectives_batch_axis_runs(chunk, scratch)
-            } else {
-                model.evaluate_objectives_batch(chunk, scratch)
-            };
-            outcomes.iter().map(|outcome| outcome.as_ref().ok().map(&project)).collect()
+    dispatch(pool, points, |scratch, chunk| {
+        let outcomes = if axis_runs {
+            model.evaluate_objectives_batch_axis_runs(chunk, scratch)
+        } else {
+            model.evaluate_objectives_batch(chunk, scratch)
         };
-    let runs = crate::parallel::homogeneous_runs(points, |p| p.nodes.len());
-    if crate::parallel::num_threads() == 1 {
-        // No workers to feed: run the kernel over each whole run in one
-        // call, skipping the chunk partition and the flatten copy.
-        let mut pooled = pools.soa.take();
-        let mut out = Vec::with_capacity(points.len());
-        for &(start, end) in &runs {
-            out.extend(run_kernel(&mut pooled.state, &points[start..end]));
-        }
-        return out;
-    }
-    let chunks: Vec<&[DesignPoint]> =
-        runs.iter().flat_map(|&(start, end)| points[start..end].chunks(SOA_CHUNK)).collect();
-    let per_chunk: Vec<Vec<Option<ObjectiveVector>>> = parallel_map_with_block(
-        &chunks,
-        1,
-        || pools.soa.take(),
-        |pooled, chunk| run_kernel(&mut pooled.state, chunk),
-    );
-    per_chunk.into_iter().flatten().collect()
+        outcomes.iter().map(|outcome| outcome.as_ref().ok().map(&project)).collect()
+    })
 }
 
 /// The proposed multi-layer model: objectives `(Enet, delay, PRD)`.
 #[derive(Debug, Clone)]
 pub struct ModelEvaluator {
     model: WbsnModel,
-    pools: ModelPools,
+    pool: Arc<Pool<SoaScratch>>,
 }
 
 impl ModelEvaluator {
@@ -258,7 +203,7 @@ impl ModelEvaluator {
     /// Uses a custom model (e.g. different ϑ).
     #[must_use]
     pub fn new(model: WbsnModel) -> Self {
-        Self { model, pools: ModelPools::default() }
+        Self { model, pool: Arc::default() }
     }
 }
 
@@ -271,13 +216,13 @@ impl Evaluator for ModelEvaluator {
     }
 
     fn evaluate_batch(&self, points: &[DesignPoint]) -> Vec<Option<ObjectiveVector>> {
-        batch_through_soa(&self.model, &self.pools, points, false, |o| {
+        objectives_batch(&self.model, &self.pool, points, false, |o| {
             ObjectiveVector::from_slice(&o.to_array())
         })
     }
 
     fn evaluate_batch_axis_runs(&self, points: &[DesignPoint]) -> Vec<Option<ObjectiveVector>> {
-        batch_through_soa(&self.model, &self.pools, points, true, |o| {
+        objectives_batch(&self.model, &self.pool, points, true, |o| {
             ObjectiveVector::from_slice(&o.to_array())
         })
     }
@@ -296,7 +241,7 @@ impl Evaluator for ModelEvaluator {
 #[derive(Debug, Clone)]
 pub struct EnergyDelayEvaluator {
     model: WbsnModel,
-    pools: ModelPools,
+    pool: Arc<Pool<SoaScratch>>,
 }
 
 impl EnergyDelayEvaluator {
@@ -309,7 +254,7 @@ impl EnergyDelayEvaluator {
     /// Uses a custom model (e.g. different ϑ).
     #[must_use]
     pub fn new(model: WbsnModel) -> Self {
-        Self { model, pools: ModelPools::default() }
+        Self { model, pool: Arc::default() }
     }
 }
 
@@ -322,13 +267,13 @@ impl Evaluator for EnergyDelayEvaluator {
     }
 
     fn evaluate_batch(&self, points: &[DesignPoint]) -> Vec<Option<ObjectiveVector>> {
-        batch_through_soa(&self.model, &self.pools, points, false, |o| {
+        objectives_batch(&self.model, &self.pool, points, false, |o| {
             ObjectiveVector::from_slice(&o.energy_delay())
         })
     }
 
     fn evaluate_batch_axis_runs(&self, points: &[DesignPoint]) -> Vec<Option<ObjectiveVector>> {
-        batch_through_soa(&self.model, &self.pools, points, true, |o| {
+        objectives_batch(&self.model, &self.pool, points, true, |o| {
             ObjectiveVector::from_slice(&o.energy_delay())
         })
     }
@@ -363,10 +308,9 @@ struct FullState {
 /// (tested below). A zero-draw configuration maps to `-∞`, which
 /// [`ObjectiveVector`] accepts deliberately.
 ///
-/// The batch path runs [`WbsnModel::evaluate_batch_full`] (or its
-/// MAC-grouped variant on wide networks) because the lifetime axis
-/// needs the per-node `Enode` lane — the aggregate objectives only
-/// carry the network mean.
+/// The batch path runs [`WbsnModel::evaluate_batch_full`] because the
+/// lifetime axis needs the per-node `Enode` lane — the aggregate
+/// objectives only carry the network mean.
 #[derive(Debug, Clone)]
 pub struct LifetimeEvaluator {
     model: WbsnModel,
@@ -405,59 +349,29 @@ impl Evaluator for LifetimeEvaluator {
     }
 
     fn evaluate_batch(&self, points: &[DesignPoint]) -> Vec<Option<ObjectiveVector>> {
-        if points.len() < SOA_MIN_BATCH {
-            // The scalar path needs the full per-node evaluation (the
-            // lifetime axis reads every node's draw), which allocates
-            // its own output — nothing worth pooling per worker.
-            return parallel_map_with(points, || (), |(), point| self.evaluate(point));
-        }
-        let run_kernel =
-            |state: &mut FullState, chunk: &[DesignPoint]| -> Vec<Option<ObjectiveVector>> {
-                let grouped = chunk.first().is_some_and(|p| p.nodes.len() >= GROUPED_MIN_NODES);
-                if grouped {
-                    self.model.evaluate_batch_full_grouped(chunk, &mut state.soa, &mut state.full);
-                } else {
-                    self.model.evaluate_batch_full(chunk, &mut state.soa, &mut state.full);
-                }
-                let full = &state.full;
-                full.outcomes()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, outcome)| {
-                        outcome.as_ref().ok().map(|o| {
-                            let max_draw = full.energy()[full.node_range(i)]
-                                .iter()
-                                .copied()
-                                .fold(0.0f64, f64::max);
-                            let [energy, delay, prd] = o.to_array();
-                            ObjectiveVector::from_slice(&[
-                                energy,
-                                delay,
-                                prd,
-                                self.lifetime_objective(max_draw),
-                            ])
-                        })
+        dispatch(&self.full_pool, points, |state, chunk| {
+            self.model.evaluate_batch_full(chunk, &mut state.soa, &mut state.full);
+            let full = &state.full;
+            full.outcomes()
+                .iter()
+                .enumerate()
+                .map(|(i, outcome)| {
+                    outcome.as_ref().ok().map(|o| {
+                        let max_draw = full.energy()[full.node_range(i)]
+                            .iter()
+                            .copied()
+                            .fold(0.0f64, f64::max);
+                        let [energy, delay, prd] = o.to_array();
+                        ObjectiveVector::from_slice(&[
+                            energy,
+                            delay,
+                            prd,
+                            self.lifetime_objective(max_draw),
+                        ])
                     })
-                    .collect()
-            };
-        let runs = crate::parallel::homogeneous_runs(points, |p| p.nodes.len());
-        if crate::parallel::num_threads() == 1 {
-            let mut pooled = self.full_pool.take();
-            let mut out = Vec::with_capacity(points.len());
-            for &(start, end) in &runs {
-                out.extend(run_kernel(&mut pooled.state, &points[start..end]));
-            }
-            return out;
-        }
-        let chunks: Vec<&[DesignPoint]> =
-            runs.iter().flat_map(|&(start, end)| points[start..end].chunks(SOA_CHUNK)).collect();
-        let per_chunk: Vec<Vec<Option<ObjectiveVector>>> = parallel_map_with_block(
-            &chunks,
-            1,
-            || self.full_pool.take(),
-            |pooled, chunk| run_kernel(&mut pooled.state, chunk),
-        );
-        per_chunk.into_iter().flatten().collect()
+                })
+                .collect()
+        })
     }
 
     fn num_objectives(&self) -> usize {
@@ -472,6 +386,7 @@ impl Evaluator for LifetimeEvaluator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::with_threads;
     use wbsn_model::space::DesignSpace;
 
     #[test]
@@ -511,18 +426,63 @@ mod tests {
         assert_eq!(EnergyDelayEvaluator::shimmer().name(), "energy-delay-baseline");
     }
 
+    /// Batch shapes across the dispatcher's range: empty, one point,
+    /// 63 and 64 points (NSGA-II generation sizes), one full chunk, one
+    /// point past it and several fanned-out chunks. They are drawn from
+    /// a 3-node space (the coarse truth scenario: the 3-node case study
+    /// samples all infeasible), the 6-node case study and a 17-node one
+    /// (all GTS-infeasible); plus a batch of alternating 6- and 18-node
+    /// runs, the shape of a coalesced super-batch.
+    fn dispatch_batches() -> Vec<Vec<DesignPoint>> {
+        let mut batches = Vec::new();
+        let spaces = [
+            crate::truth::coarse_3node().space,
+            DesignSpace::case_study(6),
+            DesignSpace::case_study(17),
+        ];
+        for space in spaces {
+            let sweep = space.sample_sweep(2 * SOA_CHUNK + 7);
+            for len in [0, 1, 63, 64, SOA_CHUNK, SOA_CHUNK + 1, 2 * SOA_CHUNK + 7] {
+                batches.push(sweep[..len].to_vec());
+            }
+        }
+        let narrow = DesignSpace::case_study(6).sample_sweep(SOA_CHUNK);
+        let wide = DesignSpace::case_study(18).sample_sweep(SOA_CHUNK);
+        let mut mixed = Vec::new();
+        for (a, b) in narrow.chunks(10).zip(wide.chunks(10)) {
+            mixed.extend_from_slice(a);
+            mixed.extend_from_slice(b);
+        }
+        batches.push(mixed);
+        batches
+    }
+
+    /// Both batch methods of `eval`, inline (one thread) and fanned
+    /// out (three threads), equal the serial map of `evaluate` on
+    /// every [`dispatch_batches`] shape.
+    fn assert_batch_paths_match_serial<E: Evaluator + Clone>(eval: &E) {
+        let serial = SerialEvaluator(eval.clone());
+        for points in dispatch_batches() {
+            let expected = serial.evaluate_batch(&points);
+            for threads in [1, 3] {
+                with_threads(threads, || {
+                    let nodes = points.first().map_or(0, |p| p.nodes.len());
+                    let shape = format!("{} {nodes}-node points, {threads} threads", points.len());
+                    assert_eq!(eval.evaluate_batch(&points), expected, "{shape}");
+                    assert_eq!(eval.evaluate_batch_axis_runs(&points), expected, "{shape}");
+                });
+            }
+        }
+    }
+
     #[test]
     fn batch_is_bit_identical_to_serial_for_both_evaluators() {
-        let space = DesignSpace::case_study(6);
-        let points = space.sample_sweep(300);
         let model = ModelEvaluator::shimmer();
-        let baseline = EnergyDelayEvaluator::shimmer();
-        let serial_model = SerialEvaluator(model.clone());
-        let serial_baseline = SerialEvaluator(baseline.clone());
-        assert_eq!(model.evaluate_batch(&points), serial_model.evaluate_batch(&points));
-        assert_eq!(baseline.evaluate_batch(&points), serial_baseline.evaluate_batch(&points));
+        assert_batch_paths_match_serial(&model);
+        assert_batch_paths_match_serial(&EnergyDelayEvaluator::shimmer());
         // And the serial default really is a map of `evaluate`.
-        for (p, o) in points.iter().zip(serial_model.evaluate_batch(&points)) {
+        let points = DesignSpace::case_study(6).sample_sweep(300);
+        for (p, o) in points.iter().zip(SerialEvaluator(model.clone()).evaluate_batch(&points)) {
             assert_eq!(o, model.evaluate(p));
         }
     }
@@ -542,62 +502,6 @@ mod tests {
     #[test]
     fn empty_batch() {
         assert!(ModelEvaluator::shimmer().evaluate_batch(&[]).is_empty());
-    }
-
-    /// Batches under [`SOA_MIN_BATCH`] run the scalar per-point engine,
-    /// larger ones the `SoA` kernel; both must produce identical vectors.
-    #[test]
-    fn soa_and_scalar_batch_paths_agree_across_the_size_threshold() {
-        let space = DesignSpace::case_study(6);
-        let points = space.sample_sweep(200);
-        let eval = ModelEvaluator::shimmer();
-        let soa_path = eval.evaluate_batch(&points);
-        let scalar_path: Vec<_> =
-            points.chunks(SOA_MIN_BATCH - 1).flat_map(|chunk| eval.evaluate_batch(chunk)).collect();
-        assert_eq!(soa_path, scalar_path);
-    }
-
-    /// The node-count-keyed engine choice (ungrouped below
-    /// [`GROUPED_MIN_NODES`], grouped at or above) must be invisible:
-    /// batches on either side of the threshold equal the serial map.
-    #[test]
-    fn node_count_keyed_engine_choice_is_invisible() {
-        let eval = ModelEvaluator::shimmer();
-        let serial = SerialEvaluator(eval.clone());
-        for n_nodes in [GROUPED_MIN_NODES - 1, GROUPED_MIN_NODES, GROUPED_MIN_NODES + 1] {
-            let space = DesignSpace::case_study(n_nodes);
-            let points = space.sample_sweep(200);
-            assert_eq!(
-                eval.evaluate_batch(&points),
-                serial.evaluate_batch(&points),
-                "{n_nodes} nodes"
-            );
-        }
-        // A mixed batch is split into homogeneous node-count runs and
-        // each run keys its own engine; still invisible whichever side
-        // of the threshold leads.
-        for lead in [6usize, GROUPED_MIN_NODES + 2] {
-            let mut points = DesignSpace::case_study(lead).sample_sweep(100);
-            let other = 6 + GROUPED_MIN_NODES + 2 - lead;
-            points.extend(DesignSpace::case_study(other).sample_sweep(100));
-            assert_eq!(eval.evaluate_batch(&points), serial.evaluate_batch(&points));
-        }
-        // A coalesced-super-batch shape: several short alternating runs,
-        // so narrow and wide members take turns within one batch. Each
-        // run must dispatch its own kernel without perturbing siblings.
-        let narrow = DesignSpace::case_study(6).sample_sweep(40);
-        let wide = DesignSpace::case_study(GROUPED_MIN_NODES + 2).sample_sweep(40);
-        let mut points = Vec::new();
-        for (a, b) in narrow.chunks(10).zip(wide.chunks(10)) {
-            points.extend_from_slice(a);
-            points.extend_from_slice(b);
-        }
-        assert_eq!(eval.evaluate_batch(&points), serial.evaluate_batch(&points));
-        let lifetime = LifetimeEvaluator::shimmer();
-        assert_eq!(
-            lifetime.evaluate_batch(&points),
-            SerialEvaluator(lifetime.clone()).evaluate_batch(&points)
-        );
     }
 
     /// A state leased while its thread panics must be discarded, not
@@ -658,14 +562,7 @@ mod tests {
 
     #[test]
     fn lifetime_batch_is_bit_identical_to_serial() {
-        let space = DesignSpace::case_study(6);
-        let points = space.sample_sweep(300);
-        let eval = LifetimeEvaluator::shimmer();
-        let serial = SerialEvaluator(eval.clone());
-        assert_eq!(eval.evaluate_batch(&points), serial.evaluate_batch(&points));
-        // Wide networks run the grouped full kernel: still invisible.
-        let wide = DesignSpace::case_study(GROUPED_MIN_NODES + 2).sample_sweep(150);
-        assert_eq!(eval.evaluate_batch(&wide), SerialEvaluator(eval.clone()).evaluate_batch(&wide));
+        assert_batch_paths_match_serial(&LifetimeEvaluator::shimmer());
     }
 
     #[test]

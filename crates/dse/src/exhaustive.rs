@@ -112,9 +112,9 @@ pub fn exhaustive_incremental(
 /// An odometer cursor steps through the space in `order`
 /// ([`DesignSpace::step_point`]: a carry chain rewriting only the picks
 /// that roll, no index decode) and refills one reused [`BATCH`]-point
-/// buffer per round. The evaluator fans each batch out across cores and
-/// picks its kernel by node count (the ungrouped `SoA` kernels for every
-/// truth scenario). Archive insertion stays in enumeration order, so the
+/// buffer per round. The evaluator fans each batch out across cores
+/// through its `SoA` kernel (the axis-run kernel for the axis-major
+/// order). Archive insertion stays in enumeration order, so the
 /// result is bit-identical to the serial pass; a [`RejectFilter`] turns
 /// the common rejected insert into one comparison, and a point is cloned
 /// out of the buffer only when it enters the archive.

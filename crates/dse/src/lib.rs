@@ -16,10 +16,10 @@
 //!   for concurrent consumers (the `wbsn-serve` worker pool);
 //! * [`evaluator`] — the proposed 3-objective model and the
 //!   energy/delay-only state-of-the-art baseline ([26]), both with a
-//!   multi-core [`Evaluator::evaluate_batch`] running the
-//!   struct-of-arrays kernel `WbsnModel::evaluate_objectives_batch`
-//!   per chunk (scalar `evaluate_objectives` fallback for small
-//!   batches);
+//!   [`Evaluator::evaluate_batch`] running every batch through the
+//!   struct-of-arrays kernel `WbsnModel::evaluate_objectives_batch`,
+//!   inline up to one chunk and fanned out per chunk across cores
+//!   above it;
 //! * [`parallel`] — the scoped-thread work-stealing map behind batch
 //!   evaluation;
 //! * [`nsga2`] — elitist non-dominated sorting GA, one evaluation batch

@@ -15,6 +15,7 @@
 //! caller's panics are caught and handled like a helper's: every worker
 //! is joined before the first payload resurfaces, unchanged.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Smallest adaptive work unit: below this, per-block bookkeeping
@@ -25,17 +26,19 @@ const MIN_BLOCK: usize = 16;
 /// heterogeneous costs (infeasible points fail fast).
 const MAX_BLOCK: usize = 64;
 
-/// Process-wide scoped thread-budget override (0 = none installed).
-/// Set only through [`with_threads`], which restores the previous
-/// value on exit, panic included.
-static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// This thread's scoped thread-budget override (0 = none
+    /// installed). Set only through [`with_threads`], which restores
+    /// the previous value on exit, panic included.
+    static THREAD_OVERRIDE: Cell<usize> = const { Cell::new(0) };
+}
 
-/// Worker threads to use: the innermost [`with_threads`] override when
-/// one is active, else `WBSN_THREADS` when set (≥1), otherwise the
-/// machine's available parallelism.
+/// Worker threads to use: the innermost [`with_threads`] override
+/// active on the calling thread, else `WBSN_THREADS` when set (≥1),
+/// otherwise the machine's available parallelism.
 #[must_use]
 pub fn num_threads() -> usize {
-    let forced = THREAD_OVERRIDE.load(Ordering::Relaxed);
+    let forced = THREAD_OVERRIDE.with(Cell::get);
     if forced > 0 {
         return forced;
     }
@@ -47,50 +50,24 @@ pub fn num_threads() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Runs `f` with [`num_threads`] pinned to `threads` (clamped to ≥1),
-/// restoring the previous setting afterwards — the mechanism behind
-/// the bench harness's thread-scaling sweep, which must measure 1, 2,
-/// …, N worker threads in one process without touching the
-/// environment. The override is process-global: concurrent callers of
-/// [`num_threads`] observe it too, so keep scopes short and don't nest
-/// conflicting sweeps.
+/// Runs `f` with [`num_threads`] pinned to `threads` (clamped to ≥1)
+/// on the calling thread, restoring the previous setting afterwards —
+/// the mechanism behind the bench harness's thread-scaling sweep, which
+/// must measure 1, 2, …, N worker threads in one process without
+/// touching the environment. The override is per thread: it governs
+/// the batches started on the thread that opened the scope, and other
+/// threads (helpers spawned inside the scope included) keep their own
+/// setting.
 pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     struct Restore(usize);
     impl Drop for Restore {
         fn drop(&mut self) {
-            THREAD_OVERRIDE.store(self.0, Ordering::Relaxed);
+            THREAD_OVERRIDE.with(|o| o.set(self.0));
         }
     }
-    let prev = THREAD_OVERRIDE.swap(threads.max(1), Ordering::Relaxed);
+    let prev = THREAD_OVERRIDE.with(|o| o.replace(threads.max(1)));
     let _restore = Restore(prev);
     f()
-}
-
-/// Maximal runs of consecutive items sharing a key, as `(start, end)`
-/// half-open index ranges covering `items` exactly.
-///
-/// The batch evaluators chunk *within* these runs so no evaluation
-/// chunk ever spans a node-count boundary: each chunk's kernel choice
-/// (grouped vs. ungrouped `SoA`) is keyed on its own run, which makes
-/// mixed-node-count super-batches dispatch the right kernel per
-/// homogeneous stretch instead of keying the whole batch on its first
-/// point.
-pub fn homogeneous_runs<T, K: PartialEq>(
-    items: &[T],
-    key: impl Fn(&T) -> K,
-) -> Vec<(usize, usize)> {
-    let mut runs: Vec<(usize, usize)> = Vec::new();
-    let mut start = 0usize;
-    for i in 1..items.len() {
-        if key(&items[i]) != key(&items[i - 1]) {
-            runs.push((start, i));
-            start = i;
-        }
-    }
-    if start < items.len() {
-        runs.push((start, items.len()));
-    }
-    runs
 }
 
 /// Maps `items` through `f` in input order, fanning out across threads.
@@ -301,14 +278,36 @@ mod tests {
         assert_eq!(num_threads(), outer);
     }
 
+    /// The override belongs to the thread that installed it: two
+    /// threads holding different scopes open at the same time each
+    /// see only their own. Each reads its count while both scopes are
+    /// open (between two barrier waits); the values are asserted after
+    /// both threads have left, so a failure cannot strand the other at
+    /// a barrier.
     #[test]
-    fn homogeneous_runs_split_exactly_at_key_changes() {
-        let items = [3, 3, 3, 5, 5, 3, 7];
-        assert_eq!(homogeneous_runs(&items, |&x| x), vec![(0, 3), (3, 5), (5, 6), (6, 7)]);
-        assert_eq!(homogeneous_runs(&[] as &[i32], |&x| x), Vec::new());
-        assert_eq!(homogeneous_runs(&[9], |&x| x), vec![(0, 1)]);
-        let uniform = [4u8; 100];
-        assert_eq!(homogeneous_runs(&uniform, |&x| x), vec![(0, 100)]);
+    fn with_threads_is_scoped_to_the_calling_thread() {
+        use std::sync::Barrier;
+        let both = Barrier::new(2);
+        let seen: Vec<(usize, usize)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = [3usize, 5]
+                .into_iter()
+                .map(|threads| {
+                    let both = &both;
+                    scope.spawn(move || {
+                        with_threads(threads, || {
+                            both.wait();
+                            let observed = num_threads();
+                            both.wait();
+                            (threads, observed)
+                        })
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("scope thread panicked")).collect()
+        });
+        for (installed, observed) in seen {
+            assert_eq!(observed, installed, "another thread's scope leaked in");
+        }
     }
 
     /// A panicking closure must surface its own payload (not a generic

@@ -12,11 +12,9 @@
 //! * `WbsnModel::evaluate_objectives` reuses the scratch buffers and the
 //!   `(kind, CR, fµC)` memo;
 //! * `WbsnModel::evaluate_objectives_batch` (the `SoA` kernel) reuses its
-//!   interned grid/MAC/cell tables and per-batch buffers, as does the
-//!   MAC-grouped `evaluate_objectives_batch_grouped` (plus its pending /
-//!   permutation / transposed-lane buffers);
-//! * `WbsnModel::evaluate_batch_full` and its grouped sibling write the
-//!   per-node lanes into a reused `FullEvalOut`;
+//!   interned grid/MAC/cell tables and per-batch buffers;
+//! * `WbsnModel::evaluate_batch_full` writes the per-node lanes into a
+//!   reused `FullEvalOut`;
 //! * `ObjectiveVector::from_slice` is an inline `Copy` value.
 //!
 //! This file holds a single `#[test]` so no sibling test thread can
@@ -67,7 +65,7 @@ fn batch_decode_and_evaluate_are_allocation_free_in_steady_state() {
 
     fastpath_sweep_loop_is_allocation_free_once_warm();
     soa_batch_path_is_allocation_free_in_steady_state();
-    full_eval_batch_paths_are_allocation_free_in_steady_state();
+    full_eval_batch_path_is_allocation_free_in_steady_state();
     genome_decode_and_objective_construction_are_allocation_free();
 }
 
@@ -132,12 +130,11 @@ fn soa_batch_path_is_allocation_free_in_steady_state() {
 }
 
 // Called from the single #[test] above. The full-evaluation batch
-// kernels — ungrouped and MAC-grouped — write per-node energy
-// breakdown / delay / PRD / slot lanes into a caller-owned `FullEvalOut`
-// whose buffers (like the kernel scratch's pending records, permutation
-// buffers and transposed lanes) are reused across batches: once warm,
-// re-running the same-shaped batch must perform zero heap allocations.
-fn full_eval_batch_paths_are_allocation_free_in_steady_state() {
+// kernel writes per-node energy breakdown / delay / PRD / slot lanes
+// into a caller-owned `FullEvalOut` whose buffers are reused across
+// batches: once warm, re-running the same-shaped batch must perform
+// zero heap allocations.
+fn full_eval_batch_path_is_allocation_free_in_steady_state() {
     use wbsn_model::soa::FullEvalOut;
 
     let model = WbsnModel::shimmer();
@@ -147,7 +144,6 @@ fn full_eval_batch_paths_are_allocation_free_in_steady_state() {
     let points = space.sample_sweep(4096);
     let mut scratch = SoaScratch::new();
     let mut out = FullEvalOut::new();
-    let mut out_grouped = FullEvalOut::new();
 
     model.evaluate_batch_full(&points, &mut scratch, &mut out);
     let feasible_warm = out.outcomes().iter().filter(|o| o.is_ok()).count();
@@ -158,30 +154,6 @@ fn full_eval_batch_paths_are_allocation_free_in_steady_state() {
     let delta = allocations() - before;
     assert_eq!(out.outcomes().iter().filter(|o| o.is_ok()).count(), feasible_warm);
     assert_eq!(delta, 0, "full batch steady state performed {delta} heap allocations");
-
-    // Two warmup passes: the grouped engine hands its outcome buffer to
-    // `out` by swap, so the buffer pair only reaches its steady-state
-    // capacities after the second call.
-    model.evaluate_batch_full_grouped(&points, &mut scratch, &mut out_grouped);
-    model.evaluate_batch_full_grouped(&points, &mut scratch, &mut out_grouped);
-    let before = allocations();
-    model.evaluate_batch_full_grouped(&points, &mut scratch, &mut out_grouped);
-    let delta = allocations() - before;
-    assert_eq!(out_grouped.outcomes().iter().filter(|o| o.is_ok()).count(), feasible_warm);
-    assert_eq!(delta, 0, "grouped full batch steady state performed {delta} heap allocations");
-
-    // The grouped objectives-only path shares the same machinery minus
-    // the lanes; it is the production engine of `Evaluator::evaluate_batch`.
-    let _ = model.evaluate_objectives_batch_grouped(&points, &mut scratch);
-    let before = allocations();
-    let feasible = model
-        .evaluate_objectives_batch_grouped(&points, &mut scratch)
-        .iter()
-        .filter(|o| o.is_ok())
-        .count();
-    let delta = allocations() - before;
-    assert_eq!(feasible, feasible_warm);
-    assert_eq!(delta, 0, "grouped batch steady state performed {delta} heap allocations");
 }
 
 // Called from the single #[test] above: a second parallel test thread

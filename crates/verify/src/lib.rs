@@ -5,7 +5,7 @@
 //! that ordinary tests only probe at runtime and only on the paths they
 //! exercise: zero steady-state allocations and no per-iteration clock
 //! reads in the `SoA` kernels' hot loops, bit-identical objectives
-//! across all four engines, a typed (not
+//! across every evaluation route, a typed (not
 //! panicking) failure surface in the serve layer, one-lock-at-a-time
 //! discipline around the sharded memo, and a single definition of the
 //! MAC error-resolution sequence. This crate checks those invariants

@@ -3,12 +3,12 @@
 //!
 //! The error-priority contract — MAC validation finds the *first*
 //! failing node, then duty-cycle, bandwidth and GTS failures resolve in
-//! that fixed order — is what makes all four engines return
+//! that fixed order — is what makes every evaluation route return
 //! bit-identical `Err` values. The scalar reference spells it out in
 //! `assign_slots_into`; the `SoA` layer re-derives it once, in
-//! `walk_point`, and every batch/grouped/parallel engine funnels
-//! through that single copy. A third copy would be a fork waiting to
-//! drift.
+//! `walk_point`, and every batch kernel (objectives, axis runs, full)
+//! funnels through that single copy. A third copy would be a fork
+//! waiting to drift.
 //!
 //! Detection: any non-test function mentioning **both**
 //! `BandwidthExceeded` and `GtsCapacityExceeded` is a resolution site

@@ -43,9 +43,10 @@
 //!   scalar paths (objectives *and* errors — property-tested in
 //!   `tests/soa_parity.rs`), zero allocations in steady state.
 //! * [`dse::Evaluator::evaluate_batch`] — order-preserving batch
-//!   evaluation; the model-backed evaluators run the `SoA` kernel per
-//!   chunk across all cores (scoped threads, one pooled kernel scratch
-//!   per worker; scalar fallback for tiny batches). NSGA-II evaluates
+//!   evaluation; the model-backed evaluators run every batch through
+//!   the `SoA` kernel, inline up to one chunk and per chunk across all
+//!   cores above it (scoped threads, one pooled kernel scratch per
+//!   worker). NSGA-II evaluates
 //!   each generation as one batch, exhaustive search enumerates via a
 //!   linear-index mixed-radix decode
 //!   ([`model::space::DesignSpace::point_at`]) in parallel-friendly

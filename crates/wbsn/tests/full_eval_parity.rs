@@ -1,9 +1,9 @@
-//! Differential property test: the full-evaluation batch kernels
-//! (`WbsnModel::evaluate_batch_full`, with MAC grouping off and on)
-//! against the scalar `WbsnModel::evaluate` reference, over random node
-//! grids, MAC configurations, batch sizes and model variants.
+//! Differential property test: the full-evaluation batch kernel
+//! (`WbsnModel::evaluate_batch_full`) against the scalar
+//! `WbsnModel::evaluate` reference, over random node grids, MAC
+//! configurations, batch sizes and model variants.
 //!
-//! The contract under test is the strongest one the kernels claim:
+//! The contract under test is the strongest one the kernel claims:
 //! **bit-identical** aggregate objectives AND per-node lanes — energy
 //! breakdown (sensor/µC/memory/radio and the Eq. 7 total), Eq. 9 delay
 //! bound, PRD, Eq. 1 slot counts — for every feasible point, and the
@@ -11,8 +11,8 @@
 //! payload values) with zero-filled lanes for every infeasible one:
 //! invalid MAC parameters, invalid compression ratios, duty-cycle
 //! overflows, per-node bandwidth shortfalls and GTS capacity overflows,
-//! in the scalar path's resolution order. Both kernels run through
-//! *shared, persistent* scratches and output buffers across the whole
+//! in the scalar path's resolution order. The kernel runs through a
+//! *shared, persistent* scratch and output buffer across the whole
 //! batch sequence, so stale interned tables, stale lanes or stale
 //! offsets would be caught too.
 
@@ -67,21 +67,21 @@ fn random_point(rng: &mut StdRng) -> DesignPoint {
     }
 }
 
-/// Checks one kernel output against the scalar reference, per node and
+/// Checks the kernel output against the scalar reference, per node and
 /// per metric, bitwise.
-fn assert_full_parity(model: &WbsnModel, points: &[DesignPoint], out: &FullEvalOut, tag: &str) {
-    assert_eq!(out.len(), points.len(), "{tag}: outcome count");
+fn assert_full_parity(model: &WbsnModel, points: &[DesignPoint], out: &FullEvalOut) {
+    assert_eq!(out.len(), points.len(), "outcome count");
     let mut feasible = 0usize;
     let mut infeasible = 0usize;
     for (i, p) in points.iter().enumerate() {
         let lanes = out.node_range(i);
-        assert_eq!(lanes.len(), p.nodes.len(), "{tag}: point {i} lane range");
+        assert_eq!(lanes.len(), p.nodes.len(), "point {i} lane range");
         match (model.evaluate(&p.mac, &p.nodes), &out.outcomes()[i]) {
             (Ok(eval), Ok(obj)) => {
                 feasible += 1;
-                assert_eq!(eval.objectives.energy.to_bits(), obj.energy.to_bits(), "{tag} {i}");
-                assert_eq!(eval.objectives.delay.to_bits(), obj.delay.to_bits(), "{tag} {i}");
-                assert_eq!(eval.objectives.prd.to_bits(), obj.prd.to_bits(), "{tag} {i}");
+                assert_eq!(eval.objectives.energy.to_bits(), obj.energy.to_bits(), "point {i}");
+                assert_eq!(eval.objectives.delay.to_bits(), obj.delay.to_bits(), "point {i}");
+                assert_eq!(eval.objectives.prd.to_bits(), obj.prd.to_bits(), "point {i}");
                 for (j, node) in eval.per_node.iter().enumerate() {
                     let o = lanes.start + j;
                     for (name, got, want) in [
@@ -96,15 +96,15 @@ fn assert_full_parity(model: &WbsnModel, points: &[DesignPoint], out: &FullEvalO
                         assert_eq!(
                             got.to_bits(),
                             want.to_bits(),
-                            "{tag}: point {i} node {j} lane `{name}`: {got} vs {want}"
+                            "point {i} node {j} lane `{name}`: {got} vs {want}"
                         );
                     }
-                    assert_eq!(out.slots()[o], node.slots, "{tag}: point {i} node {j} slots");
+                    assert_eq!(out.slots()[o], node.slots, "point {i} node {j} slots");
                 }
             }
             (Err(a), Err(b)) => {
                 infeasible += 1;
-                assert_eq!(&a, b, "{tag}: point {i} errors must be identical");
+                assert_eq!(&a, b, "point {i} errors must be identical");
                 let zeroed = out.sensor()[lanes.clone()].iter().all(|&v| v == 0.0)
                     && out.mcu()[lanes.clone()].iter().all(|&v| v == 0.0)
                     && out.memory()[lanes.clone()].iter().all(|&v| v == 0.0)
@@ -113,16 +113,16 @@ fn assert_full_parity(model: &WbsnModel, points: &[DesignPoint], out: &FullEvalO
                     && out.delay()[lanes.clone()].iter().all(|&v| v == 0.0)
                     && out.prd()[lanes.clone()].iter().all(|&v| v == 0.0)
                     && out.slots()[lanes.clone()].iter().all(|&v| v == 0);
-                assert!(zeroed, "{tag}: point {i} infeasible lanes must be zero-filled");
+                assert!(zeroed, "point {i} infeasible lanes must be zero-filled");
             }
-            (a, b) => panic!("{tag}: point {i} feasibility disagreement: {a:?} vs {b:?}"),
+            (a, b) => panic!("point {i} feasibility disagreement: {a:?} vs {b:?}"),
         }
     }
     // Batches big enough to carry both outcomes must show both over the
     // sequence; tiny batches may legitimately be one-sided.
     if points.len() >= 64 {
-        assert!(feasible > 0, "{tag}: degenerate batch: nothing feasible");
-        assert!(infeasible > 0, "{tag}: degenerate batch: nothing infeasible");
+        assert!(feasible > 0, "degenerate batch: nothing feasible");
+        assert!(infeasible > 0, "degenerate batch: nothing infeasible");
     }
 }
 
@@ -137,30 +137,16 @@ proptest! {
                 .with_packet_error_rate(rng.gen_range(0.0..0.9))
                 .with_theta(rng.gen_range(0.0..2.0)),
         };
-        // One persistent kernel scratch and output buffer per mode
-        // across several random batch sizes (odd sizes, singletons,
-        // empty) — exactly how callers reuse them batch to batch.
+        // One persistent kernel scratch and output buffer across several
+        // random batch sizes (odd sizes, singletons, empty) — exactly
+        // how callers reuse them batch to batch.
         let mut soa = SoaScratch::new();
         let mut out = FullEvalOut::new();
-        let mut out_grouped = FullEvalOut::new();
         for _ in 0..rng.gen_range(1..=3usize) {
             let len = *[0usize, 1, 7, 64, 170].get(rng.gen_range(0..5usize)).expect("in range");
             let points: Vec<DesignPoint> = (0..len).map(|_| random_point(&mut rng)).collect();
             model.evaluate_batch_full(&points, &mut soa, &mut out);
-            assert_full_parity(&model, &points, &out, "ungrouped");
-            model.evaluate_batch_full_grouped(&points, &mut soa, &mut out_grouped);
-            assert_full_parity(&model, &points, &out_grouped, "grouped");
-            // Grouping must be invisible: identical lanes, outcomes and
-            // offsets, not merely identical per-point values.
-            assert_eq!(out.outcomes(), out_grouped.outcomes());
-            prop_assert_eq!(out.sensor(), out_grouped.sensor());
-            prop_assert_eq!(out.mcu(), out_grouped.mcu());
-            prop_assert_eq!(out.memory(), out_grouped.memory());
-            prop_assert_eq!(out.radio(), out_grouped.radio());
-            prop_assert_eq!(out.energy(), out_grouped.energy());
-            prop_assert_eq!(out.delay(), out_grouped.delay());
-            prop_assert_eq!(out.prd(), out_grouped.prd());
-            prop_assert_eq!(out.slots(), out_grouped.slots());
+            assert_full_parity(&model, &points, &out);
         }
     }
 }
