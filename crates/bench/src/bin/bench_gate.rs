@@ -22,12 +22,6 @@
 //!   scenario-query rate;
 //! * `serve_p50_ms` / `serve_p99_ms` — single-client serve latency
 //!   percentiles (**lower is better**: the gate fails when they rise);
-//! * `serve_small_qps_16pt` — 16-point small-query rate at concurrency
-//!   16 with cross-request coalescing on;
-//! * `serve_small_p99_ms_16pt` — its p99 latency (**lower is better**);
-//! * `serve_small_coalesce_ratio_16pt` — coalescing-on over
-//!   coalescing-off rate at that level (**absolute floor** 1.3: the
-//!   coalescer must keep earning its keep, not merely exist);
 //! * `hypervolume_ratio_nsga2` / `front_coverage_nsga2` — NSGA-II
 //!   search quality against the exact paper-2node Pareto front
 //!   (**absolute floors**, not tolerance bands: the values are fully
@@ -79,10 +73,6 @@ use wbsn_dse::truth::{NSGA2_MIN_FRONT_COVERAGE, NSGA2_MIN_HYPERVOLUME_RATIO};
 /// fraction of linear scaling.
 const MIN_MULTICORE_EFFICIENCY: f64 = 0.5;
 
-/// The coalescer's acceptance floor: 16-point queries at concurrency 16
-/// must sustain at least this rate ratio with coalescing on vs off.
-const MIN_SMALL_COALESCE_RATIO: f64 = 1.3;
-
 /// How a gated field is judged.
 #[derive(Clone, Copy)]
 enum Gate {
@@ -117,9 +107,6 @@ fn gated_fields() -> Vec<(String, Gate)> {
         ("serve_queries_per_s", Gate::HigherIsBetter),
         ("serve_p50_ms", Gate::LowerIsBetter),
         ("serve_p99_ms", Gate::LowerIsBetter),
-        ("serve_small_qps_16pt", Gate::HigherIsBetter),
-        ("serve_small_p99_ms_16pt", Gate::LowerIsBetter),
-        ("serve_small_coalesce_ratio_16pt", Gate::Floor(MIN_SMALL_COALESCE_RATIO)),
         ("hypervolume_ratio_nsga2", Gate::Floor(NSGA2_MIN_HYPERVOLUME_RATIO)),
         ("front_coverage_nsga2", Gate::Floor(NSGA2_MIN_FRONT_COVERAGE)),
     ]
@@ -474,7 +461,7 @@ mod tests {
                 assert!(matches!(gate.1, Gate::Floor(_)), "`{name}` must be an absolute floor");
             }
         }
-        assert!(fields.len() >= 15 + 18, "the gated field set shrank");
+        assert!(fields.len() >= 12 + 18, "the gated field set shrank");
     }
 
     #[test]

@@ -16,27 +16,13 @@
 //! run sweeps several concurrency levels and reports per-level
 //! queries/s and latency percentiles.
 //!
-//! A second, *small-query* mode measures the cross-request coalescer:
-//! 16- and 64-point queries at concurrency 4 and 16 against a single
-//! pinned worker (the 1-core runner profile), once with coalescing off
-//! and once with it on, over a pool of distinct design points so the
-//! memo cannot flatten the comparison. The on/off pair differs in
-//! nothing but `coalesce_max_points`, so the ratio isolates what
-//! shared `SoA` super-batches buy over per-request turns.
-//!
 //! Gated fields (written into `BENCH_dse.json` next to the kernel
 //! fields, preserving everything else in the document):
 //! * `serve_queries_per_s` — best sustained rate across the levels
 //!   (higher is better);
 //! * `serve_p50_ms` / `serve_p99_ms` — single-client (concurrency 1)
 //!   round-trip latency percentiles (lower is better), the cleanest
-//!   view of per-request overhead;
-//! * `serve_small_qps_16pt` — 16-point-query rate at concurrency 16
-//!   with coalescing on (higher is better);
-//! * `serve_small_p99_ms_16pt` — its p99 round-trip latency (lower is
-//!   better);
-//! * `serve_small_coalesce_ratio_16pt` — coalescing-on over
-//!   coalescing-off rate at that level (the tentpole's headline).
+//!   view of per-request overhead.
 //!
 //! Run: `cargo run --release -p wbsn-bench --bin serve_throughput`
 //! Smoke mode (CI): `SERVE_SMOKE=1` shrinks the run to a few hundred
@@ -49,22 +35,6 @@ use wbsn_serve::{ScenarioRequest, ServeConfig, ServeEngine};
 
 /// Concurrency levels swept: clients keeping queries in flight.
 const LEVELS: [usize; 3] = [1, 4, 16];
-
-/// Small-query mode: points per query (both well under the coalescing
-/// threshold) and the concurrency levels that make sharing possible.
-const SMALL_SIZES: [usize; 2] = [16, 64];
-const SMALL_LEVELS: [usize; 2] = [4, 16];
-
-/// Coalescing threshold for the small-query runs: large enough that
-/// both small shapes are eligible, far below the 512-point big-query
-/// shape (which must keep bypassing the former).
-const SMALL_COALESCE_MAX_POINTS: usize = 128;
-
-/// Admission window for the small-query runs. Closed-loop clients
-/// resubmit within a few microseconds of a scatter, so a short window
-/// merges everything already queued without leaving the lone worker
-/// idle waiting for stragglers the way the 200 µs default would.
-const SMALL_COALESCE_WAIT: Duration = Duration::from_micros(30);
 
 /// One measured level: sustained rate plus latency percentiles.
 struct LevelResult {
@@ -82,16 +52,9 @@ fn percentile_ms(sorted: &[Duration], p: f64) -> f64 {
     sorted[rank.saturating_sub(1).min(sorted.len() - 1)].as_secs_f64() * 1e3
 }
 
-/// The engine configuration for one measured level: big-query levels
-/// run the stock engine; small-query levels flip the coalescer on or
-/// off so the two runs differ in nothing but batch sharing.
-fn level_config(clients: usize, coalesce: bool) -> ServeConfig {
-    ServeConfig {
-        queue_capacity: clients.max(16) * 2,
-        coalesce_max_points: if coalesce { SMALL_COALESCE_MAX_POINTS } else { 0 },
-        coalesce_max_wait: SMALL_COALESCE_WAIT,
-        ..ServeConfig::default()
-    }
+/// The engine configuration for one measured level.
+fn level_config(clients: usize) -> ServeConfig {
+    ServeConfig { queue_capacity: clients.max(16) * 2, ..ServeConfig::default() }
 }
 
 /// Runs `queries` closed-loop queries across `clients` submitter
@@ -132,79 +95,6 @@ fn run_level(
                             response.points_resolved,
                             points.len() as u64,
                             "every query resolves the full batch"
-                        );
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles.into_iter().flat_map(|h| h.join().expect("client thread")).collect()
-    });
-    let elapsed = t0.elapsed().as_secs_f64();
-    latencies.sort_unstable();
-    LevelResult {
-        clients,
-        queries: latencies.len(),
-        queries_per_s: latencies.len() as f64 / elapsed,
-        p50_ms: percentile_ms(&latencies, 50.0),
-        p99_ms: percentile_ms(&latencies, 99.0),
-    }
-}
-
-/// One small-query level measured both ways: the coalescing-off and
-/// coalescing-on runs plus their rate ratio.
-struct SmallRow {
-    size: usize,
-    off: LevelResult,
-    on: LevelResult,
-    ratio: f64,
-}
-
-/// Runs the small-query closed-loop load: `clients` threads each keep
-/// one `size`-point query in flight against a single pinned worker.
-/// Every query takes a fresh window of the pool (per-client disjoint
-/// regions), so the work set is identical — and the memo trajectory
-/// equivalent — between the coalescing-off and -on runs.
-fn run_small_level(
-    pool: &[DesignPoint],
-    size: usize,
-    clients: usize,
-    queries: usize,
-    coalesce: bool,
-) -> LevelResult {
-    // One worker regardless of host parallelism: the gate is defined on
-    // the 1-core runner, and pinning makes the contention that gives the
-    // coalescer its shot reproducible on wider machines too.
-    let engine = ServeEngine::start(ServeConfig { workers: 1, ..level_config(clients, coalesce) });
-    for _ in 0..4 {
-        engine
-            .try_submit(ScenarioRequest::evaluate(pool[pool.len() - size..].to_vec()))
-            .expect("queue empty during warmup")
-            .wait()
-            .expect("warmup query succeeds");
-    }
-
-    let per_client = queries.div_ceil(clients);
-    let engine = &engine;
-    let t0 = Instant::now();
-    let mut latencies: Vec<Duration> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                scope.spawn(move || {
-                    let mut local = Vec::with_capacity(per_client);
-                    for i in 0..per_client {
-                        let start = ((c * per_client + i) * size) % (pool.len() - size + 1);
-                        let query = pool[start..start + size].to_vec();
-                        let submitted = Instant::now();
-                        let response = engine
-                            .submit(ScenarioRequest::evaluate(query))
-                            .expect("engine alive")
-                            .wait()
-                            .expect("fault-free query succeeds");
-                        local.push(submitted.elapsed());
-                        assert_eq!(
-                            response.points_resolved, size as u64,
-                            "every small query resolves its full slice"
                         );
                     }
                     local
@@ -266,9 +156,7 @@ fn main() {
 
     let results: Vec<LevelResult> = LEVELS
         .iter()
-        .map(|&clients| {
-            run_level(&points, clients, queries_per_level, level_config(clients, false))
-        })
+        .map(|&clients| run_level(&points, clients, queries_per_level, level_config(clients)))
         .collect();
     for r in &results {
         println!(
@@ -292,35 +180,6 @@ fn main() {
         single.p50_ms, single.p99_ms
     );
 
-    let small_queries = if smoke { 48 } else { 2000 };
-    println!(
-        "\n# small-query coalescing: sizes {SMALL_SIZES:?}, levels {SMALL_LEVELS:?}, \
-         {small_queries} queries/run, 1 worker\n"
-    );
-    let pool = space.sample_sweep(8192);
-    let mut small: Vec<SmallRow> = Vec::new();
-    for &size in &SMALL_SIZES {
-        for &clients in &SMALL_LEVELS {
-            let off = run_small_level(&pool, size, clients, small_queries, false);
-            let on = run_small_level(&pool, size, clients, small_queries, true);
-            let ratio = on.queries_per_s / off.queries_per_s;
-            println!(
-                "{size:>2} pts, clients {clients:>2}: off {:>8.0} q/s (p99 {:.3} ms)  \
-                 on {:>8.0} q/s (p99 {:.3} ms)  ratio {ratio:.2}x",
-                off.queries_per_s, off.p99_ms, on.queries_per_s, on.p99_ms
-            );
-            small.push(SmallRow { size, off, on, ratio });
-        }
-    }
-    let headline = small
-        .iter()
-        .find(|r| r.size == 16 && r.on.clients == 16)
-        .expect("the gated 16-point concurrency-16 level always runs");
-    println!(
-        "\n16-pt @ 16 clients: {:.0} q/s coalescing on, ratio {:.2}x over off",
-        headline.on.queries_per_s, headline.ratio
-    );
-
     if smoke {
         println!("\nSERVE_SMOKE set — skipping the BENCH_dse.json merge");
         return;
@@ -340,21 +199,6 @@ fn main() {
         })
         .collect();
     let _ = writeln!(serve_lines, "  \"serve_levels\": [{}],", levels.join(", "));
-    let _ = writeln!(serve_lines, "  \"serve_small_qps_16pt\": {:.1},", headline.on.queries_per_s);
-    let _ = writeln!(serve_lines, "  \"serve_small_p99_ms_16pt\": {:.4},", headline.on.p99_ms);
-    let _ = writeln!(serve_lines, "  \"serve_small_coalesce_ratio_16pt\": {:.3},", headline.ratio);
-    let small_levels: Vec<String> = small
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"points\": {}, \"clients\": {}, \"qps_off\": {:.1}, \"qps_on\": {:.1}, \
-                 \"p99_ms_on\": {:.4}, \"ratio\": {:.3}}}",
-                r.size, r.on.clients, r.off.queries_per_s, r.on.queries_per_s, r.on.p99_ms, r.ratio
-            )
-        })
-        .collect();
-    let _ = writeln!(serve_lines, "  \"serve_small_levels\": [{}],", small_levels.join(", "));
-
     let existing = std::fs::read_to_string("BENCH_dse.json").ok();
     let merged = merge_into_bench_json(existing.as_deref(), &serve_lines);
     match std::fs::write("BENCH_dse.json", &merged) {

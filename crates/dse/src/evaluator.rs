@@ -432,7 +432,7 @@ mod tests {
     /// a 3-node space (the coarse truth scenario: the 3-node case study
     /// samples all infeasible), the 6-node case study and a 17-node one
     /// (all GTS-infeasible); plus a batch of alternating 6- and 18-node
-    /// runs, the shape of a coalesced super-batch.
+    /// runs, mixed node counts in one batch.
     fn dispatch_batches() -> Vec<Vec<DesignPoint>> {
         let mut batches = Vec::new();
         let spaces = [

@@ -18,21 +18,6 @@
 //!   makes a submission fail with `QueueFull` regardless of actual
 //!   occupancy, exercising backpressure handling in callers.
 //!
-//! The coalescing batch-former adds three fault points of its own:
-//!
-//! * **mid-super-batch panics**
-//!   ([`ChaosSchedule::panics_in_super_batch`]) fire at a
-//!   `(request, super-chunk)` coordinate while the request is an
-//!   unanswered member of a shared super-batch, exercising
-//!   member-confined failure (every unanswered member gets its own
-//!   `WorkerPanic`; settled members keep their responses);
-//! * **slow members** ([`ChaosSchedule::member_slowdown`]) stall the
-//!   whole super-batch before each chunk while the member is
-//!   unanswered, exercising sibling deadline math mid-batch;
-//! * **window starvation** ([`ChaosSchedule::starves_window`]) burns
-//!   the full admission window of the request that opened it,
-//!   exercising the deadline clamp on the window timer.
-//!
 //! Schedules come from an explicit [`ChaosScheduleBuilder`] (targeted
 //! tests) or from [`ChaosSchedule::seeded`] (randomized-but-repeatable
 //! sweeps: the same seed always yields the same schedule).
@@ -57,9 +42,6 @@ pub struct ChaosSchedule {
     panics: HashSet<(u64, usize)>,
     slowdowns: HashMap<(u64, usize), Duration>,
     rejects: HashSet<u64>,
-    super_panics: HashSet<(u64, usize)>,
-    member_slowdowns: HashMap<u64, Duration>,
-    starved_windows: HashSet<u64>,
 }
 
 impl ChaosSchedule {
@@ -90,15 +72,6 @@ impl ChaosSchedule {
                 } else if rng.gen_range(0..1000u32) < knobs.slow_per_mille {
                     schedule.slowdowns.insert((seq, chunk), knobs.slow_duration);
                 }
-                if rng.gen_range(0..1000u32) < knobs.super_panic_per_mille {
-                    schedule.super_panics.insert((seq, chunk));
-                }
-            }
-            if rng.gen_range(0..1000u32) < knobs.member_slow_per_mille {
-                schedule.member_slowdowns.insert(seq, knobs.member_slow_duration);
-            }
-            if rng.gen_range(0..1000u32) < knobs.starve_per_mille {
-                schedule.starved_windows.insert(seq);
             }
         }
         schedule
@@ -137,47 +110,6 @@ impl ChaosSchedule {
     pub fn scheduled_rejections(&self) -> usize {
         self.rejects.len()
     }
-
-    /// Whether a super-batch holding unanswered member `seq` panics at
-    /// super-chunk `chunk`. Applies only while the request is inside a
-    /// shared super-batch; the classic path never consults it.
-    #[must_use]
-    pub fn panics_in_super_batch(&self, seq: u64, chunk: usize) -> bool {
-        self.super_panics.contains(&(seq, chunk))
-    }
-
-    /// The per-chunk stall request `seq` imposes on its super-batch
-    /// while it is an unanswered member, if scheduled.
-    #[must_use]
-    pub fn member_slowdown(&self, seq: u64) -> Option<Duration> {
-        self.member_slowdowns.get(&seq).copied()
-    }
-
-    /// Whether the admission window request `seq` opens is starved:
-    /// the former admits nobody and burns the whole (deadline-clamped)
-    /// window before serving `seq` on the classic path.
-    #[must_use]
-    pub fn starves_window(&self, seq: u64) -> bool {
-        self.starved_windows.contains(&seq)
-    }
-
-    /// Number of scheduled mid-super-batch panic coordinates.
-    #[must_use]
-    pub fn scheduled_super_panics(&self) -> usize {
-        self.super_panics.len()
-    }
-
-    /// Number of requests scheduled as slow super-batch members.
-    #[must_use]
-    pub fn scheduled_member_slowdowns(&self) -> usize {
-        self.member_slowdowns.len()
-    }
-
-    /// Number of requests whose admission window is starved.
-    #[must_use]
-    pub fn scheduled_starvations(&self) -> usize {
-        self.starved_windows.len()
-    }
 }
 
 /// Probabilities and shape for [`ChaosSchedule::seeded`].
@@ -195,14 +127,6 @@ pub struct ChaosKnobs {
     pub slow_duration: Duration,
     /// Per-request submission-rejection probability, in 1/1000.
     pub reject_per_mille: u32,
-    /// Per-chunk mid-super-batch panic probability, in 1/1000.
-    pub super_panic_per_mille: u32,
-    /// Per-request slow-member probability, in 1/1000.
-    pub member_slow_per_mille: u32,
-    /// Per-chunk stall injected by each scheduled slow member.
-    pub member_slow_duration: Duration,
-    /// Per-request admission-window starvation probability, in 1/1000.
-    pub starve_per_mille: u32,
 }
 
 /// Builder for explicit, targeted [`ChaosSchedule`]s.
@@ -233,29 +157,6 @@ impl ChaosScheduleBuilder {
         self
     }
 
-    /// Panics the super-batch holding unanswered member `seq` at
-    /// super-chunk `chunk`.
-    #[must_use]
-    pub fn panic_in_super_batch(mut self, seq: u64, chunk: usize) -> Self {
-        self.schedule.super_panics.insert((seq, chunk));
-        self
-    }
-
-    /// Stalls request `seq`'s super-batch by `delay` before each chunk
-    /// while `seq` is an unanswered member.
-    #[must_use]
-    pub fn slow_member(mut self, seq: u64, delay: Duration) -> Self {
-        self.schedule.member_slowdowns.insert(seq, delay);
-        self
-    }
-
-    /// Starves the admission window request `seq` opens.
-    #[must_use]
-    pub fn starve_window(mut self, seq: u64) -> Self {
-        self.schedule.starved_windows.insert(seq);
-        self
-    }
-
     /// Finishes the schedule.
     #[must_use]
     pub fn build(self) -> ChaosSchedule {
@@ -273,24 +174,12 @@ mod tests {
             .panic_on(2, 0)
             .slow_on(3, 1, Duration::from_millis(50))
             .reject_submission(5)
-            .panic_in_super_batch(7, 0)
-            .slow_member(8, Duration::from_millis(20))
-            .starve_window(9)
             .build();
         assert_eq!(schedule.fault(2, 0), Some(Fault::Panic));
         assert_eq!(schedule.fault(3, 1), Some(Fault::Slow(Duration::from_millis(50))));
         assert_eq!(schedule.fault(2, 1), None);
         assert!(schedule.rejects_submission(5));
         assert!(!schedule.rejects_submission(2));
-        assert!(schedule.panics_in_super_batch(7, 0));
-        assert!(!schedule.panics_in_super_batch(7, 1));
-        assert_eq!(schedule.member_slowdown(8), Some(Duration::from_millis(20)));
-        assert_eq!(schedule.member_slowdown(7), None);
-        assert!(schedule.starves_window(9));
-        assert!(!schedule.starves_window(8));
-        assert_eq!(schedule.scheduled_super_panics(), 1);
-        assert_eq!(schedule.scheduled_member_slowdowns(), 1);
-        assert_eq!(schedule.scheduled_starvations(), 1);
     }
 
     #[test]
@@ -311,27 +200,15 @@ mod tests {
             slow_per_mille: 100,
             slow_duration: Duration::from_millis(1),
             reject_per_mille: 100,
-            super_panic_per_mille: 100,
-            member_slow_per_mille: 100,
-            member_slow_duration: Duration::from_millis(1),
-            starve_per_mille: 100,
         };
         let a = ChaosSchedule::seeded(7, &knobs);
         let b = ChaosSchedule::seeded(7, &knobs);
         assert_eq!(a.panics, b.panics);
         assert_eq!(a.slowdowns, b.slowdowns);
         assert_eq!(a.rejects, b.rejects);
-        assert_eq!(a.super_panics, b.super_panics);
-        assert_eq!(a.member_slowdowns, b.member_slowdowns);
-        assert_eq!(a.starved_windows, b.starved_windows);
         assert!(
             a.scheduled_panics() + a.scheduled_slowdowns() + a.scheduled_rejections() > 0,
             "with 10% rates over 64x8 coordinates the schedule cannot be empty"
-        );
-        assert!(
-            a.scheduled_super_panics() + a.scheduled_member_slowdowns() + a.scheduled_starvations()
-                > 0,
-            "with 10% rates the coalescer fault tables cannot all be empty"
         );
         let c = ChaosSchedule::seeded(8, &knobs);
         assert!(

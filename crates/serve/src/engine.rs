@@ -22,6 +22,7 @@
 //!    are all observationally transparent (property-tested).
 
 use crate::error::ServeError;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -199,18 +200,6 @@ pub struct ServeConfig {
     pub memo_shards: usize,
     /// LRU capacity per memo shard. Default 4096.
     pub memo_capacity_per_shard: usize,
-    /// Cross-request coalescing threshold: point/genome requests of at
-    /// most this many points are eligible to merge with concurrent
-    /// peers into one shared super-batch (sweeps and larger requests
-    /// always bypass the coalescer). Default 0 — coalescing disabled,
-    /// every request takes the classic per-request path.
-    pub coalesce_max_points: usize,
-    /// Admission-window length of the coalescer: how long a worker
-    /// holds the first eligible request open for peers to join its
-    /// super-batch. The window is deadline-aware — it is clamped to the
-    /// earliest member deadline, so no request's budget is spent
-    /// waiting for company. Default 200 µs.
-    pub coalesce_max_wait: Duration,
     /// Fault-injection schedule (chaos builds only).
     #[cfg(feature = "chaos")]
     pub chaos: Option<Arc<crate::chaos::ChaosSchedule>>,
@@ -229,8 +218,6 @@ impl Default for ServeConfig {
             backoff_max: Duration::from_millis(160),
             memo_shards: 16,
             memo_capacity_per_shard: 4096,
-            coalesce_max_points: 0,
-            coalesce_max_wait: Duration::from_micros(200),
             #[cfg(feature = "chaos")]
             chaos: None,
         }
@@ -254,9 +241,12 @@ pub struct EngineStats {
     pub respawns: u64,
     /// Sweep requests served degraded (stride > 1).
     pub degraded_sweeps: u64,
-    /// Requests answered from a shared multi-member super-batch.
+    /// Always 0: every request is served on its own. Kept only because
+    /// perfbench's `coalesce.*` layer metrics read it; a benchmark
+    /// change removes both together.
     pub coalesced_requests: u64,
-    /// Multi-member super-batches formed by the coalescer.
+    /// Always 0, for the same reason as
+    /// [`EngineStats::coalesced_requests`].
     pub super_batches: u64,
     /// Lookups answered by the cross-request genome memo.
     pub memo_hits: u64,
@@ -266,35 +256,33 @@ pub struct EngineStats {
 
 /// Raw atomic counters behind [`EngineStats`].
 #[derive(Debug, Default)]
-pub(crate) struct Stats {
-    pub(crate) submitted: AtomicU64,
-    pub(crate) rejected: AtomicU64,
-    pub(crate) completed: AtomicU64,
-    pub(crate) deadline_expired: AtomicU64,
-    pub(crate) panics: AtomicU64,
-    pub(crate) respawns: AtomicU64,
-    pub(crate) degraded: AtomicU64,
-    pub(crate) coalesced_requests: AtomicU64,
-    pub(crate) super_batches: AtomicU64,
+struct Stats {
+    submitted: AtomicU64,
+    rejected: AtomicU64,
+    completed: AtomicU64,
+    deadline_expired: AtomicU64,
+    panics: AtomicU64,
+    respawns: AtomicU64,
+    degraded: AtomicU64,
 }
 
 /// One queued request: everything a worker needs to serve and answer it.
-pub(crate) struct Job {
-    pub(crate) seq: u64,
-    pub(crate) request: ScenarioRequest,
-    pub(crate) deadline: Option<Instant>,
-    pub(crate) responder: Sender<Result<ScenarioResponse, ServeError>>,
+struct Job {
+    seq: u64,
+    request: ScenarioRequest,
+    deadline: Option<Instant>,
+    responder: Sender<Result<ScenarioResponse, ServeError>>,
 }
 
 /// State shared by the engine handle, workers, and supervisor.
-pub(crate) struct Shared {
-    pub(crate) queue_rx: Mutex<Receiver<Job>>,
+struct Shared {
+    queue_rx: Mutex<Receiver<Job>>,
     /// Jobs accepted but not yet picked up by a worker.
-    pub(crate) queue_depth: AtomicUsize,
-    pub(crate) shutdown: AtomicBool,
+    queue_depth: AtomicUsize,
+    shutdown: AtomicBool,
     /// Per-worker-slot consecutive-panic counters (respawn backoff);
     /// cleared by the slot's worker on its next successful request.
-    pub(crate) consecutive_panics: Vec<AtomicU32>,
+    consecutive_panics: Vec<AtomicU32>,
     /// The three-objective evaluator (shared warm scratch pools).
     full: ModelEvaluator,
     /// The energy/delay baseline evaluator.
@@ -305,12 +293,12 @@ pub(crate) struct Shared {
     /// different projections have different shapes and must not mix);
     /// indexed by [`Objectives::lane`].
     memos: [ShardedGenomeMemo; Objectives::ALL.len()],
-    pub(crate) cfg: ServeConfig,
-    pub(crate) stats: Stats,
+    cfg: ServeConfig,
+    stats: Stats,
 }
 
 impl Shared {
-    pub(crate) fn evaluator(&self, objectives: Objectives) -> &dyn Evaluator {
+    fn evaluator(&self, objectives: Objectives) -> &dyn Evaluator {
         match objectives {
             Objectives::EnergyDelayPrd => &self.full,
             Objectives::EnergyDelay => &self.energy_delay,
@@ -318,7 +306,7 @@ impl Shared {
         }
     }
 
-    pub(crate) fn memo(&self, objectives: Objectives) -> &ShardedGenomeMemo {
+    fn memo(&self, objectives: Objectives) -> &ShardedGenomeMemo {
         &self.memos[objectives.lane()]
     }
 }
@@ -552,8 +540,8 @@ impl ServeEngine {
             worker_panics: s.panics.load(Ordering::Relaxed),
             respawns: s.respawns.load(Ordering::Relaxed),
             degraded_sweeps: s.degraded.load(Ordering::Relaxed),
-            coalesced_requests: s.coalesced_requests.load(Ordering::Relaxed),
-            super_batches: s.super_batches.load(Ordering::Relaxed),
+            coalesced_requests: 0,
+            super_batches: 0,
             memo_hits: self.shared.memos.iter().map(ShardedGenomeMemo::hits).sum(),
             memo_len: self.shared.memos.iter().map(|m| m.len() as u64).sum(),
         }
@@ -587,7 +575,7 @@ fn spawn_worker(
 }
 
 /// Extracts a human-readable message from a panic payload.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     payload
         .downcast_ref::<String>()
         .cloned()
@@ -598,32 +586,42 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 // verify: hot-path-begin(worker-drain-loop)
 fn worker_loop(shared: &Arc<Shared>, id: usize, obituary_tx: &Sender<usize>) {
     loop {
-        // Lock held across the blocking recv AND the coalescer's
-        // admission window: the mutex doubles as the worker's turn at
-        // the shared single-consumer queue (idle workers park on the
-        // mutex, the holder parks in recv), and the turn holder is the
-        // one forming super-batches from co-queued peers.
-        let turn = {
+        // Lock held across the blocking recv only: the mutex is the
+        // worker's turn at the shared single-consumer queue (idle
+        // workers park on the mutex, the holder parks in recv), and it
+        // is released as soon as one job is off the queue.
+        let job = {
             let rx = shared.queue_rx.lock().unwrap_or_else(PoisonError::into_inner);
             match rx.recv() {
                 Ok(job) => {
                     shared.queue_depth.fetch_sub(1, Ordering::AcqRel);
-                    crate::coalesce::form_turn(shared, job, &rx)
+                    job
                 }
                 Err(_) => return, // engine dropped and queue drained
             }
         };
-        // Process every unit of the turn even if one of them panics:
-        // a panicked super-batch fails only its members, and jobs
-        // already pulled off the queue must never be stranded. A
-        // poisoned turn retires the thread afterwards (the pool drop
-        // guards already discarded anything the unwind was leasing)
-        // and the supervisor respawns a replacement.
-        if crate::coalesce::run_turn(shared, id, turn) {
-            shared.consecutive_panics[id].store(0, Ordering::Relaxed);
-        } else {
-            let _ = obituary_tx.send(id);
-            return;
+        let Job { seq, request, deadline, responder } = job;
+        let outcome = catch_unwind(AssertUnwindSafe(|| process(shared, seq, &request, deadline)));
+        match outcome {
+            Ok(result) => {
+                if result.is_ok() {
+                    shared.stats.completed.fetch_add(1, Ordering::Relaxed);
+                }
+                let _ = responder.send(result);
+                shared.consecutive_panics[id].store(0, Ordering::Relaxed);
+            }
+            Err(payload) => {
+                // The panic is confined to this request: answer it with
+                // the typed failure, then retire the thread — any state
+                // it leased was discarded by the pool drop guards
+                // during the unwind, so the warm pool stays clean. The
+                // supervisor respawns a replacement.
+                shared.stats.panics.fetch_add(1, Ordering::Relaxed);
+                let message = panic_message(payload.as_ref());
+                let _ = responder.send(Err(ServeError::WorkerPanic { worker: id, message }));
+                let _ = obituary_tx.send(id);
+                return;
+            }
         }
     }
 }
@@ -693,7 +691,7 @@ fn supervisor_loop(
 }
 
 /// Serves one request on the calling worker thread.
-pub(crate) fn process(
+fn process(
     shared: &Shared,
     seq: u64,
     request: &ScenarioRequest,
@@ -713,7 +711,7 @@ pub(crate) fn process(
 }
 
 /// Whether the request's budget has run out.
-pub(crate) fn expired(deadline: Option<Instant>) -> bool {
+fn expired(deadline: Option<Instant>) -> bool {
     deadline.is_some_and(|d| Instant::now() >= d)
 }
 

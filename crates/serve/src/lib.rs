@@ -18,27 +18,15 @@
 //!    [`ServeEngine::submit`] (blocks, propagating backpressure to the
 //!    producer). Acceptance stamps the request's deadline: queue wait
 //!    counts against the budget.
-//! 3. **The coalescer forms the worker's turn.** When
-//!    [`ServeConfig::coalesce_max_points`] is non-zero, the worker
-//!    whose turn it is at the queue holds the first *eligible* request
-//!    (a point or genome batch of at most that many points — sweeps
-//!    and larger requests always bypass) open for an admission window
-//!    of at most [`ServeConfig::coalesce_max_wait`], clamped to the
-//!    earliest member deadline so no budget is spent waiting for
-//!    peers. Co-queued eligible requests merge into one super-batch
-//!    per objective lane; the first ineligible arrival closes the
-//!    window and runs right after, on the classic path.
-//! 4. **The worker serves each unit of its turn** in
+//! 3. **A worker drains** the bounded queue and serves the request in
 //!    [`ServeConfig::chunk_points`]-sized chunks through the existing
-//!    [`Evaluator::evaluate_batch`] `SoA` engine, checking deadlines
-//!    between chunks (cooperative cancellation — never mid-kernel). A
-//!    super-batch evaluates the union of its members' points through
-//!    one call on one warm scratch, then scatters per-request
-//!    responses bitwise-identical to uncoalesced execution. Genome
-//!    queries consult the sharded cross-request memo first and record
-//!    fresh outcomes back; sweeps degrade to a strided subsample when
-//!    the queue is deep (the stride is reported, never silent).
-//! 5. **Wait** on the returned [`QueryHandle`]: [`QueryHandle::wait`]
+//!    [`Evaluator::evaluate_batch`] `SoA` engine, checking the deadline
+//!    between chunks (cooperative cancellation — never mid-kernel).
+//!    Genome queries consult the sharded cross-request memo first and
+//!    record fresh outcomes back; sweeps degrade to a strided
+//!    subsample when the queue is deep (the stride is reported, never
+//!    silent).
+//! 4. **Wait** on the returned [`QueryHandle`]: [`QueryHandle::wait`]
 //!    blocks until the typed outcome arrives;
 //!    [`QueryHandle::wait_timeout`] bounds the caller's patience. A
 //!    handle never hangs past engine shutdown.
@@ -46,18 +34,11 @@
 //! ```text
 //!  submit / try_submit            bounded queue (backpressure)
 //!  ───────────────────▶ [ q q q q q q ] ─────────────┐
-//!                                                    ▼ worker's turn
-//!                                     ┌─ coalescer admission window ─┐
-//!      sweep / > coalesce_max_points  │  eligible: merge by lane     │
-//!      ────────────── bypass ───────▶ │  ineligible: close window    │
-//!                                     └──────┬───────────────────────┘
-//!                                            ▼
-//!                      turn units: [Super(lane A) | Super(lane B) | Single]
-//!                                            ▼
-//!                gather (memo hits, dedup) → evaluate_batch → scatter
-//!                                            ▼
-//!            per-request responses: Ok | DeadlineExceeded{bitwise prefix}
-//!                                 | WorkerPanic (members only)
+//!                                                    ▼ one job per worker turn
+//!                      memo lookup (genomes) → evaluate_batch per chunk
+//!                                                    ▼
+//!                 response: Ok | DeadlineExceeded{bitwise prefix}
+//!                                 | WorkerPanic (this request only)
 //! ```
 //!
 //! # Failure taxonomy
@@ -86,25 +67,17 @@
 //! With the `chaos` cargo feature the engine consults an optional
 //! deterministic [`chaos::ChaosSchedule`] — injected panics, per-chunk
 //! slowness, forced queue saturation, keyed by submission sequence
-//! number and chunk index, plus three coalescer fault points: a panic
-//! mid-super-batch (fails exactly the unanswered members), a slow
-//! member (stalls its super-batch so sibling deadline math is
-//! exercised), and window-timer starvation (burns the whole admission
-//! window, proving the deadline clamp). The crate's own tests enable
-//! the feature via a self dev-dependency; production consumers compile
-//! a hook-free engine.
+//! number and chunk index. The crate's own tests enable the feature
+//! via a self dev-dependency; production consumers compile a hook-free
+//! engine.
 //!
 //! # Tuning knobs
 //!
 //! All on [`ServeConfig`]: worker count, queue capacity (backpressure
 //! point), chunk size (cancellation granularity), default budget,
-//! degradation threshold/stride, respawn backoff base/cap, memo
-//! geometry, and the coalescer pair — `coalesce_max_points` (0
-//! disables; raise to the largest request size that should share a
-//! batch) and `coalesce_max_wait` (the latency you will trade for
-//! batching; keep it well under a request's own service time). The
-//! defaults serve the paper's case-study spaces well; see each field's
-//! docs for how to trade latency against throughput.
+//! degradation threshold/stride, respawn backoff base/cap, and memo
+//! geometry. The defaults serve the paper's case-study spaces well;
+//! see each field's docs for how to trade latency against throughput.
 //!
 //! ```
 //! use wbsn_serve::{ScenarioRequest, ServeConfig, ServeEngine};
@@ -127,7 +100,6 @@
 
 #[cfg(feature = "chaos")]
 pub mod chaos;
-mod coalesce;
 pub mod engine;
 pub mod error;
 

@@ -315,13 +315,6 @@ fn seeded_chaos_storm_never_corrupts_surviving_requests() {
         slow_per_mille: 80,
         slow_duration: Duration::from_millis(300),
         reject_per_mille: 60,
-        // Coalescing is off in this storm (the classic path is what
-        // it pins down); the coalescer faults get their own seeded
-        // storm in tests/coalesce.rs.
-        super_panic_per_mille: 0,
-        member_slow_per_mille: 0,
-        member_slow_duration: Duration::ZERO,
-        starve_per_mille: 0,
     };
     // Seed pinned so the storm is repeatable; the assertion below
     // double-checks it schedules every outcome class.
@@ -409,8 +402,15 @@ fn seeded_chaos_storm_never_corrupts_surviving_requests() {
     assert_eq!(ok + panicked + expired + rejected, REQUESTS);
 
     let stats = engine.stats();
+    assert_eq!(stats.completed, ok);
+    assert_eq!(stats.deadline_expired, expired);
     assert_eq!(stats.worker_panics, panicked);
     assert_eq!(stats.rejected, rejected);
+    assert_eq!(
+        stats.submitted,
+        stats.completed + stats.deadline_expired + stats.worker_panics,
+        "every accepted request is counted in exactly one terminal state"
+    );
     assert!(stats.respawns >= 1, "the supervisor respawned panicked workers");
 
     // After the storm: respawned workers, recycled scratch, exact

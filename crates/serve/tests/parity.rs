@@ -4,14 +4,15 @@
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::time::Duration;
 use wbsn_dse::evaluator::{EnergyDelayEvaluator, Evaluator, LifetimeEvaluator, ModelEvaluator};
 use wbsn_dse::exhaustive::exhaustive;
+use wbsn_dse::objective::ObjectiveVector;
 use wbsn_dse::Genome;
 use wbsn_model::space::{DesignPoint, DesignSpace};
 use wbsn_model::units::Hertz;
-use wbsn_serve::{Objectives, Query, ScenarioRequest, ServeConfig, ServeEngine};
+use wbsn_serve::{Objectives, Query, QueryResult, ScenarioRequest, ServeConfig, ServeEngine};
 
 /// Random tiny design spaces (the dse property-test idiom): every grid
 /// axis truncated to a random prefix so radices vary per case.
@@ -53,6 +54,42 @@ fn direct(objectives: Objectives) -> Box<dyn Evaluator> {
 
 fn engine(workers: usize, chunk_points: usize) -> ServeEngine {
     ServeEngine::start(ServeConfig { workers, chunk_points, ..ServeConfig::default() })
+}
+
+/// A random stream of small point and genome requests over `space`,
+/// each on a random objective lane.
+fn random_requests(space: &DesignSpace, n: usize, seed: u64) -> Vec<ScenarioRequest> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let points = all_points(space);
+    (0..n)
+        .map(|_| {
+            let len = rng.gen_range(1..=8.min(points.len()));
+            let objectives = Objectives::ALL[rng.gen_range(0..Objectives::ALL.len())];
+            if rng.gen_bool(0.5) {
+                let start = rng.gen_range(0..=points.len() - len);
+                ScenarioRequest::evaluate(points[start..start + len].to_vec())
+                    .with_objectives(objectives)
+            } else {
+                let genomes: Vec<Genome> =
+                    (0..len).map(|_| Genome::random(space, &mut rng)).collect();
+                ScenarioRequest::evaluate_genomes(space.clone(), genomes)
+                    .with_objectives(objectives)
+            }
+        })
+        .collect()
+}
+
+/// The direct (unserved) reference for one point or genome request.
+fn reference(space: &DesignSpace, request: &ScenarioRequest) -> Vec<Option<ObjectiveVector>> {
+    let evaluator = direct(request.objectives);
+    match &request.query {
+        Query::Evaluate(points) => evaluator.evaluate_batch(points),
+        Query::EvaluateGenomes { genomes, .. } => {
+            let decoded: Vec<DesignPoint> = genomes.iter().map(|g| g.decode(space)).collect();
+            evaluator.evaluate_batch(&decoded)
+        }
+        Query::ParetoSweep { .. } => unreachable!("the stream holds no sweeps"),
+    }
 }
 
 proptest! {
@@ -124,6 +161,50 @@ proptest! {
         prop_assert!(!response.degraded);
         prop_assert_eq!(response.result.front(), Some(&reference.front));
     }
+
+    // Up to 24 concurrent small point and genome requests, spread over
+    // every objective lane and 1..=4 workers: each response equals its
+    // direct reference bitwise, the per-response memo hits sum to the
+    // engine total, and every accepted request is counted once.
+    #[test]
+    fn concurrent_small_requests_match_direct_across_lanes(
+        space in tiny_space(),
+        n_requests in 1usize..=24,
+        workers in 1usize..=4,
+        seed in 0u64..1_000_000,
+    ) {
+        let requests = random_requests(&space, n_requests, seed);
+        let expected: Vec<_> = requests.iter().map(|r| reference(&space, r)).collect();
+
+        let engine = ServeEngine::start(ServeConfig {
+            workers,
+            chunk_points: 32,
+            queue_capacity: n_requests.max(1),
+            ..ServeConfig::default()
+        });
+        let handles: Vec<_> = requests
+            .iter()
+            .map(|r| engine.submit(r.clone()).expect("alive"))
+            .collect();
+        let mut ledger = 0u64;
+        for (handle, expected) in handles.into_iter().zip(&expected) {
+            let response =
+                handle.wait_timeout(Duration::from_mins(1)).expect("fault-free requests complete");
+            prop_assert_eq!(response.result.evaluations(), Some(expected.as_slice()));
+            prop_assert_eq!(response.points_resolved, expected.len() as u64);
+            prop_assert_eq!(response.stride, 1);
+            prop_assert!(!response.degraded);
+            ledger += response.memo_hits;
+        }
+        let stats = engine.stats();
+        prop_assert_eq!(stats.memo_hits, ledger, "per-response hits must sum to the engine total");
+        prop_assert_eq!(stats.completed, n_requests as u64);
+        prop_assert_eq!(stats.worker_panics, 0);
+        prop_assert_eq!(
+            stats.submitted,
+            stats.completed + stats.deadline_expired + stats.worker_panics
+        );
+    }
 }
 
 /// Many concurrent in-flight requests of mixed shapes: every response
@@ -180,4 +261,20 @@ fn concurrent_mixed_requests_all_match_their_direct_reference() {
     assert_eq!(stats.completed, 24);
     assert_eq!(stats.worker_panics, 0);
     assert_eq!(stats.rejected, 0);
+    assert_eq!(stats.submitted, stats.completed + stats.deadline_expired + stats.worker_panics);
+}
+
+/// `QueryResult`'s derived `PartialEq` compares evaluation outcomes
+/// bitwise: two independent evaluations of the same points are equal.
+#[test]
+fn query_result_equality_is_bitwise_over_evaluations() {
+    let mut space = DesignSpace::case_study(2);
+    space.cr_values.truncate(2);
+    space.f_mcu_values.truncate(2);
+    space.payload_values.truncate(1);
+    space.order_pairs.truncate(1);
+    let points = all_points(&space);
+    let a = QueryResult::Evaluations(ModelEvaluator::shimmer().evaluate_batch(&points));
+    let b = QueryResult::Evaluations(ModelEvaluator::shimmer().evaluate_batch(&points));
+    assert_eq!(a, b);
 }
