@@ -7,12 +7,23 @@
 //! assigned `+∞` objectives, which non-dominated sorting pushes to the
 //! last fronts automatically.
 //!
-//! Evaluation is batched: each generation's offspring (and the initial
-//! population) go through [`Evaluator::evaluate_batch`] as one batch, so
-//! a parallel evaluator fans a whole generation out across cores.
-//! Variation consumes the RNG, evaluation does not — so a seeded run is
-//! bit-identical whether the evaluator executes the batch serially or in
-//! parallel (see `SerialEvaluator`).
+//! Evaluation is batched: each generation's fresh genomes (and the
+//! initial population) go through [`Evaluator::evaluate_batch`] as one
+//! batch. Only genomes the memo has not seen reach it: about 36 per
+//! generation on the default coarse 3-node run, far below one
+//! 1,024-point `SOA_CHUNK`, so the model evaluators run the batch inline
+//! on the calling thread. A batch fans out across cores only above one
+//! chunk, which no shipped configuration reaches (the largest population
+//! is fig. 5's 200). Variation consumes the RNG, evaluation does not —
+//! so a seeded run is bit-identical whether the evaluator executes the
+//! batch serially or in parallel (see `SerialEvaluator`).
+//!
+//! Ranking reuses one set of buffers for the whole run: a bitset
+//! dominance row and a `u32` domination count per individual, every
+//! front written back to back into one index buffer, and crowding's
+//! order and distance buffers. Each pair of individuals is compared
+//! once. After the first generation of µ+λ individuals, ranking and
+//! crowding allocate nothing.
 //!
 //! Evaluation is also deduplicated: a [`GenomeMemo`] keyed by genome
 //! replays the outcome of every previously seen candidate (elitism and
@@ -24,7 +35,7 @@
 use crate::evaluator::Evaluator;
 use crate::genome::Genome;
 use crate::memo::GenomeMemo;
-use crate::objective::ObjectiveVector;
+use crate::objective::{Dominance, ObjectiveVector};
 use crate::pareto::ParetoArchive;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -130,6 +141,7 @@ pub fn nsga2_with_memo(
     let mut archive: ParetoArchive<DesignPoint> = ParetoArchive::new();
     let infeasible_objectives =
         ObjectiveVector::new(vec![f64::INFINITY; evaluator.num_objectives()]);
+    let mut ranking = Ranking::default();
 
     // Initial population: all genomes drawn first (evaluation consumes no
     // randomness), then evaluated as one batch.
@@ -145,7 +157,7 @@ pub fn nsga2_with_memo(
         &mut infeasible,
         &mut archive,
     );
-    assign_rank_and_crowding(&mut population);
+    assign_rank_and_crowding(&mut population, &mut ranking);
 
     for _ in 0..cfg.generations {
         // Offspring via binary tournament + crossover + mutation.
@@ -174,7 +186,7 @@ pub fn nsga2_with_memo(
         );
         // (µ+λ) elitism: best `population` individuals survive.
         population.append(&mut offspring);
-        assign_rank_and_crowding(&mut population);
+        assign_rank_and_crowding(&mut population, &mut ranking);
         population.sort_by(|x, y| {
             x.rank.cmp(&y.rank).then(
                 y.crowding.partial_cmp(&x.crowding).expect("crowding distances are comparable"),
@@ -298,56 +310,186 @@ fn tournament<R: Rng + ?Sized>(pop: &[Individual], rng: &mut R) -> usize {
     }
 }
 
-/// Fast non-dominated sort plus crowding distances, written into the
-/// individuals. (`ObjectiveVector` is `Copy`: collecting the objectives
-/// is a flat stack-to-heap copy, not a per-vector allocation.)
-fn assign_rank_and_crowding(pop: &mut [Individual]) {
-    let objectives: Vec<ObjectiveVector> = pop.iter().map(|i| i.objectives).collect();
-    let fronts = fast_non_dominated_sort(&objectives);
-    for (rank, front) in fronts.iter().enumerate() {
-        for &i in front {
-            pop[i].rank = rank;
+/// Ranking buffers of one NSGA-II run, reused by every generation.
+#[derive(Default)]
+struct Ranking {
+    /// The population's objective vectors, gathered once per ranking.
+    objectives: Vec<ObjectiveVector>,
+    fronts: Fronts,
+    crowding: Crowding,
+}
+
+/// Non-dominated sorting state, sized once per call and allocation-free
+/// once the buffers have reached the population size.
+#[derive(Default)]
+struct Fronts {
+    /// Bitset dominance rows of `n.div_ceil(64)` words, one per
+    /// individual: bit `j` of row `i` is set when `i` dominates `j`.
+    dominated: Vec<u64>,
+    /// How many individuals dominate each one (the sort counts it down).
+    count: Vec<u32>,
+    /// Every front's members, back to back, in Deb's emission order.
+    members: Vec<usize>,
+    /// `ends[k]` is where front `k` ends in `members`.
+    ends: Vec<usize>,
+}
+
+impl Fronts {
+    /// Deb's fast non-dominated sort with one [`ObjectiveVector::compare`]
+    /// per pair. The emitted order is exactly [`fast_non_dominated_sort`]'s
+    /// (see there): walking a bitset row from the low bit up reproduces
+    /// the ascending order in which Deb's pair loop fills each list of
+    /// dominated individuals.
+    fn sort(&mut self, objectives: &[ObjectiveVector]) {
+        let n = objectives.len();
+        let words = n.div_ceil(64);
+        self.dominated.clear();
+        self.dominated.resize(n * words, 0);
+        self.count.clear();
+        self.count.resize(n, 0);
+        self.members.clear();
+        self.members.resize(n, 0);
+        self.ends.clear();
+        self.ends.resize(n, 0);
+        let mut fronts = 0;
+        // verify: hot-path-begin(nsga2-rank)
+        for (i, a) in objectives.iter().enumerate() {
+            for (j, b) in objectives.iter().enumerate().skip(i + 1) {
+                match a.compare(b) {
+                    Dominance::Dominates => {
+                        self.dominated[i * words + j / 64] |= 1 << (j % 64);
+                        self.count[j] += 1;
+                    }
+                    Dominance::DominatedBy => {
+                        self.dominated[j * words + i / 64] |= 1 << (i % 64);
+                        self.count[i] += 1;
+                    }
+                    Dominance::Incomparable | Dominance::Equal => {}
+                }
+            }
         }
-        let distances = crowding_distances(front, &objectives);
-        for (&i, d) in front.iter().zip(distances) {
+        // Front 0 in ascending index order; front k + 1 in the order its
+        // members' counts reach zero while front k is walked in order.
+        let mut len = 0;
+        for (i, &count) in self.count.iter().enumerate() {
+            if count == 0 {
+                self.members[len] = i;
+                len += 1;
+            }
+        }
+        let mut start = 0;
+        while start < len {
+            let end = len;
+            for p in start..end {
+                let i = self.members[p];
+                for (w, &word) in self.dominated[i * words..(i + 1) * words].iter().enumerate() {
+                    let mut bits = word;
+                    while bits != 0 {
+                        let j = w * 64 + bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        self.count[j] -= 1;
+                        if self.count[j] == 0 {
+                            self.members[len] = j;
+                            len += 1;
+                        }
+                    }
+                }
+            }
+            self.ends[fronts] = end;
+            fronts += 1;
+            start = end;
+        }
+        // verify: hot-path-end(nsga2-rank)
+        self.ends.truncate(fronts);
+    }
+
+    /// The fronts of the last [`Fronts::sort`], best first.
+    fn iter(&self) -> impl Iterator<Item = &[usize]> {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let front = &self.members[start..end];
+            start = end;
+            front
+        })
+    }
+}
+
+/// Crowding-distance buffers, reused front after front.
+#[derive(Default)]
+struct Crowding {
+    order: Vec<usize>,
+    distance: Vec<f64>,
+}
+
+impl Crowding {
+    /// [`crowding_distances`] into the reused buffers.
+    fn distances(&mut self, front: &[usize], objectives: &[ObjectiveVector]) -> &[f64] {
+        let len = front.len();
+        self.distance.clear();
+        if len <= 2 {
+            self.distance.resize(len, f64::INFINITY);
+            return &self.distance;
+        }
+        self.distance.resize(len, 0.0);
+        // `order` starts as `0..len` once per front; each objective's
+        // stable sort starts from the previous objective's order, which
+        // decides ties.
+        self.order.clear();
+        self.order.extend(0..len);
+        let dims = objectives[front[0]].len();
+        for d in 0..dims {
+            self.order.sort_by(|&x, &y| {
+                let a = objectives[front[x]].values()[d];
+                let b = objectives[front[y]].values()[d];
+                a.partial_cmp(&b).expect("objectives are not NaN")
+            });
+            let lo = objectives[front[self.order[0]]].values()[d];
+            let hi = objectives[front[self.order[len - 1]]].values()[d];
+            self.distance[self.order[0]] = f64::INFINITY;
+            self.distance[self.order[len - 1]] = f64::INFINITY;
+            let span = hi - lo;
+            if span <= 0.0 || !span.is_finite() {
+                continue;
+            }
+            for w in 1..len - 1 {
+                let prev = objectives[front[self.order[w - 1]]].values()[d];
+                let next = objectives[front[self.order[w + 1]]].values()[d];
+                self.distance[self.order[w]] += (next - prev) / span;
+            }
+        }
+        &self.distance
+    }
+}
+
+/// Fast non-dominated sort plus crowding distances, written into the
+/// individuals through the run's reused [`Ranking`] buffers.
+fn assign_rank_and_crowding(pop: &mut [Individual], ranking: &mut Ranking) {
+    let Ranking { objectives, fronts, crowding } = ranking;
+    objectives.clear();
+    objectives.extend(pop.iter().map(|i| i.objectives));
+    fronts.sort(objectives);
+    for (rank, front) in fronts.iter().enumerate() {
+        let distances = crowding.distances(front, objectives);
+        for (&i, &d) in front.iter().zip(distances) {
+            pop[i].rank = rank;
             pop[i].crowding = d;
         }
     }
 }
 
 /// Deb's fast non-dominated sort: returns index fronts, best first.
+///
+/// Member order is part of the contract, because crowding's boundary
+/// picks and tie-breaks and the stable (rank, crowding) survivor sort
+/// all depend on it. Front 0 lists its members in ascending index order.
+/// Front `k + 1` lists its members in the order their domination counts
+/// reach zero while front `k` is walked in its own order, each member's
+/// dominated individuals visited in ascending index order.
 #[must_use]
 pub fn fast_non_dominated_sort(objectives: &[ObjectiveVector]) -> Vec<Vec<usize>> {
-    let n = objectives.len();
-    let mut dominated_by: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut domination_count = vec![0usize; n];
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if objectives[i].dominates(&objectives[j]) {
-                dominated_by[i].push(j);
-                domination_count[j] += 1;
-            } else if objectives[j].dominates(&objectives[i]) {
-                dominated_by[j].push(i);
-                domination_count[i] += 1;
-            }
-        }
-    }
-    let mut fronts = Vec::new();
-    let mut current: Vec<usize> = (0..n).filter(|&i| domination_count[i] == 0).collect();
-    while !current.is_empty() {
-        let mut next = Vec::new();
-        for &i in &current {
-            for &j in &dominated_by[i] {
-                domination_count[j] -= 1;
-                if domination_count[j] == 0 {
-                    next.push(j);
-                }
-            }
-        }
-        fronts.push(std::mem::take(&mut current));
-        current = next;
-    }
-    fronts
+    let mut fronts = Fronts::default();
+    fronts.sort(objectives);
+    fronts.iter().map(<[usize]>::to_vec).collect()
 }
 
 /// Crowding distance of each member of a front (boundary points get +∞).
@@ -364,43 +506,131 @@ pub fn fast_non_dominated_sort(objectives: &[ObjectiveVector]) -> Vec<Vec<usize>
 /// .expect(...)` comparators in the selection loop panic.
 #[must_use]
 pub fn crowding_distances(front: &[usize], objectives: &[ObjectiveVector]) -> Vec<f64> {
-    let len = front.len();
-    if len <= 2 {
-        return vec![f64::INFINITY; len];
-    }
-    let dims = objectives[front[0]].len();
-    let mut distance = vec![0.0f64; len];
-    let mut order: Vec<usize> = (0..len).collect();
-    for d in 0..dims {
-        order.sort_by(|&x, &y| {
-            let a = objectives[front[x]].values()[d];
-            let b = objectives[front[y]].values()[d];
-            a.partial_cmp(&b).expect("objectives are not NaN")
-        });
-        let lo = objectives[front[order[0]]].values()[d];
-        let hi = objectives[front[order[len - 1]]].values()[d];
-        distance[order[0]] = f64::INFINITY;
-        distance[order[len - 1]] = f64::INFINITY;
-        let span = hi - lo;
-        if span <= 0.0 || !span.is_finite() {
-            continue;
-        }
-        for w in 1..len - 1 {
-            let prev = objectives[front[order[w - 1]]].values()[d];
-            let next = objectives[front[order[w + 1]]].values()[d];
-            distance[order[w]] += (next - prev) / span;
-        }
-    }
-    distance
+    Crowding::default().distances(front, objectives).to_vec()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::evaluator::ModelEvaluator;
+    use proptest::prelude::*;
 
     fn ov(v: &[f64]) -> ObjectiveVector {
         ObjectiveVector::new(v.to_vec())
+    }
+
+    /// The list-based sort the flat ranking replaced, kept as the
+    /// reference for its fronts and their member order.
+    fn reference_sort(objectives: &[ObjectiveVector]) -> Vec<Vec<usize>> {
+        let n = objectives.len();
+        let mut dominated_by: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut domination_count = vec![0usize; n];
+        for i in 0..n {
+            for j in (i + 1)..n {
+                if objectives[i].dominates(&objectives[j]) {
+                    dominated_by[i].push(j);
+                    domination_count[j] += 1;
+                } else if objectives[j].dominates(&objectives[i]) {
+                    dominated_by[j].push(i);
+                    domination_count[i] += 1;
+                }
+            }
+        }
+        let mut fronts = Vec::new();
+        let mut current: Vec<usize> = (0..n).filter(|&i| domination_count[i] == 0).collect();
+        while !current.is_empty() {
+            let mut next = Vec::new();
+            for &i in &current {
+                for &j in &dominated_by[i] {
+                    domination_count[j] -= 1;
+                    if domination_count[j] == 0 {
+                        next.push(j);
+                    }
+                }
+            }
+            fronts.push(std::mem::take(&mut current));
+            current = next;
+        }
+        fronts
+    }
+
+    /// The per-front allocating crowding the reused buffers replaced,
+    /// kept as the reference for its distances.
+    fn reference_crowding(front: &[usize], objectives: &[ObjectiveVector]) -> Vec<f64> {
+        let len = front.len();
+        if len <= 2 {
+            return vec![f64::INFINITY; len];
+        }
+        let dims = objectives[front[0]].len();
+        let mut distance = vec![0.0f64; len];
+        let mut order: Vec<usize> = (0..len).collect();
+        for d in 0..dims {
+            order.sort_by(|&x, &y| {
+                let a = objectives[front[x]].values()[d];
+                let b = objectives[front[y]].values()[d];
+                a.partial_cmp(&b).expect("objectives are not NaN")
+            });
+            let lo = objectives[front[order[0]]].values()[d];
+            let hi = objectives[front[order[len - 1]]].values()[d];
+            distance[order[0]] = f64::INFINITY;
+            distance[order[len - 1]] = f64::INFINITY;
+            let span = hi - lo;
+            if span <= 0.0 || !span.is_finite() {
+                continue;
+            }
+            for w in 1..len - 1 {
+                let prev = objectives[front[order[w - 1]]].values()[d];
+                let next = objectives[front[order[w + 1]]].values()[d];
+                distance[order[w]] += (next - prev) / span;
+            }
+        }
+        distance
+    }
+
+    /// Populations of 0–400 vectors on a 5-value grid (ties and
+    /// duplicates are common), with all-`+∞` infeasible rows mixed in.
+    fn grid_population(dims: usize) -> impl Strategy<Value = Vec<ObjectiveVector>> {
+        let grid_row = || {
+            prop::collection::vec((0u8..5).prop_map(f64::from), dims..=dims)
+                .prop_map(ObjectiveVector::new)
+        };
+        let infeasible = Just(ObjectiveVector::new(vec![f64::INFINITY; dims]));
+        prop::collection::vec(prop_oneof![grid_row(), grid_row(), infeasible], 0..=400)
+    }
+
+    proptest! {
+        // One `Ranking` ranks two populations in turn, as a run's
+        // generations do: fronts must equal the reference as sequences
+        // (member order included) and crowding must match bit for bit.
+        #[test]
+        fn ranking_matches_reference_member_order_included(
+            populations in (2usize..=4).prop_flat_map(|dims| {
+                (grid_population(dims), grid_population(dims))
+            }),
+        ) {
+            let mut ranking = Ranking::default();
+            for objectives in [&populations.0, &populations.1] {
+                let expected = reference_sort(objectives);
+                ranking.fronts.sort(objectives);
+                let fronts: Vec<&[usize]> = ranking.fronts.iter().collect();
+                prop_assert_eq!(fronts.len(), expected.len());
+                for (front, reference) in fronts.iter().zip(&expected) {
+                    prop_assert_eq!(*front, &reference[..]);
+                    let got: Vec<u64> = ranking
+                        .crowding
+                        .distances(front, objectives)
+                        .iter()
+                        .map(|d| d.to_bits())
+                        .collect();
+                    let want: Vec<u64> = reference_crowding(reference, objectives)
+                        .iter()
+                        .map(|d| d.to_bits())
+                        .collect();
+                    prop_assert_eq!(got, want);
+                }
+                prop_assert_eq!(fast_non_dominated_sort(objectives), expected);
+            }
+        }
     }
 
     #[test]

@@ -14,6 +14,13 @@
 //! (e.g. lifetime or reliability à la Xu et al.). Constructing a longer
 //! vector panics — widen `MAX_OBJECTIVES` if a workload ever needs it.
 //!
+//! Construction zero-fills the inactive tail, and nothing writes the
+//! values afterwards. [`ObjectiveVector::compare`] relies on that: it
+//! compares all `MAX_OBJECTIVES` lanes without branching on the length,
+//! and two zero tails tie, so every dominance test of the crate (NSGA-II
+//! ranking, archive inserts, MOSA acceptance) costs the same at two,
+//! three or four objectives.
+//!
 //! # Value policy
 //!
 //! `NaN` is rejected at construction (dominance would be ill-defined).
@@ -167,6 +174,10 @@ impl ObjectiveVector {
 
     /// Pareto comparison.
     ///
+    /// Folds `a < b` and `a > b` over all [`MAX_OBJECTIVES`] inline lanes
+    /// with no data-dependent branch: the inactive tail is zero on both
+    /// sides (see the module docs), so it never sets either flag.
+    ///
     /// # Panics
     ///
     /// Panics when vectors have different dimensionality.
@@ -175,12 +186,9 @@ impl ObjectiveVector {
         assert_eq!(self.len, other.len, "objective dimensionality mismatch");
         let mut better = false;
         let mut worse = false;
-        for (a, b) in self.values().iter().zip(other.values()) {
-            if a < b {
-                better = true;
-            } else if a > b {
-                worse = true;
-            }
+        for (a, b) in self.values.iter().zip(&other.values) {
+            better |= a < b;
+            worse |= a > b;
         }
         match (better, worse) {
             (true, false) => Dominance::Dominates,

@@ -74,7 +74,11 @@ impl<T> ParetoArchive<T> {
                 }
                 Dominance::DominatedBy => {} // evicted: not copied forward
                 Dominance::Incomparable => {
-                    self.entries.swap(write, read);
+                    // Until the first eviction `write == read`; a
+                    // self-swap would copy a whole payload three times.
+                    if write != read {
+                        self.entries.swap(write, read);
+                    }
                     write += 1;
                 }
             }

@@ -15,6 +15,19 @@ fn objective_vec(dims: usize) -> impl Strategy<Value = ObjectiveVector> {
     prop::collection::vec(0.0f64..100.0, dims..=dims).prop_map(ObjectiveVector::new)
 }
 
+/// One objective value: a continuous draw, a small integer (ties), or an
+/// edge value (`0.0`, `-0.0`, `±∞`).
+fn objective_value() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        0.0f64..10.0,
+        (0u8..3).prop_map(f64::from),
+        Just(0.0),
+        Just(-0.0),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+    ]
+}
+
 /// The retired `Vec`-backed dominance comparison, kept as the behavioral
 /// reference for the inline `ObjectiveVector`.
 fn reference_compare(a: &[f64], b: &[f64]) -> Dominance {
@@ -187,22 +200,30 @@ proptest! {
     // The inline `[f64; 4]`-backed `ObjectiveVector` behaves exactly
     // like the old `Vec`-backed one: construction round-trips the
     // values, `compare` matches the reference dominance table on every
-    // supported dimensionality, and comparison is symmetric.
+    // supported dimensionality, and comparison is symmetric. The values
+    // include the edges of the branch-free compare: `±0.0` (equal),
+    // `±∞` and small-integer ties; `a` and `b` share a length so every
+    // case compares.
     #[test]
     fn inline_objective_vector_matches_vec_backed_reference(
-        a in prop::collection::vec(prop_oneof![0.0f64..10.0, Just(f64::INFINITY)], 1..=4),
-        b in prop::collection::vec(prop_oneof![0.0f64..10.0, Just(f64::INFINITY)], 1..=4),
+        (a, b) in (1usize..=4).prop_flat_map(|n| {
+            (prop::collection::vec(objective_value(), n), prop::collection::vec(objective_value(), n))
+        }),
     ) {
         let ia = ObjectiveVector::new(a.clone());
         prop_assert_eq!(ia.values(), &a[..]);
         prop_assert_eq!(ia.len(), a.len());
         prop_assert!(!ia.is_empty());
-        if a.len() == b.len() {
-            let ib = ObjectiveVector::from_slice(&b);
-            prop_assert_eq!(ia.compare(&ib), reference_compare(&a, &b));
-            // Equality matches slice equality of the active prefix.
-            prop_assert_eq!(ia == ib, a == b);
-        }
+        let ib = ObjectiveVector::from_slice(&b);
+        let relation = ia.compare(&ib);
+        prop_assert_eq!(relation, reference_compare(&a, &b));
+        prop_assert_eq!(ia.dominates(&ib), relation == Dominance::Dominates);
+        prop_assert_eq!(
+            ia.weakly_dominates(&ib),
+            matches!(relation, Dominance::Dominates | Dominance::Equal)
+        );
+        // Equality matches slice equality of the active prefix.
+        prop_assert_eq!(ia == ib, a == b);
     }
 
     // Archive-insert parity: driving `ParetoArchive` with inline

@@ -17,8 +17,7 @@
 //! * [`dse`] (`wbsn-dse`) — multi-objective design-space exploration
 //!   (NSGA-II, simulated annealing) over the model.
 //!
-//! See `examples/quickstart.rs` for a five-minute tour and `DESIGN.md`
-//! for the full system inventory.
+//! See `examples/quickstart.rs` for a five-minute tour.
 //!
 //! ## Batch evaluation engine
 //!
@@ -44,26 +43,21 @@
 //!   `tests/soa_parity.rs`), zero allocations in steady state.
 //! * [`dse::Evaluator::evaluate_batch`] — order-preserving batch
 //!   evaluation; the model-backed evaluators run every batch through
-//!   the `SoA` kernel, inline up to one chunk and per chunk across all
-//!   cores above it (scoped threads, one pooled kernel scratch per
-//!   worker). NSGA-II evaluates
-//!   each generation as one batch, exhaustive search enumerates via a
-//!   linear-index mixed-radix decode
-//!   ([`model::space::DesignSpace::point_at`]) in parallel-friendly
-//!   chunks, and [`dse::mosa::mosa_restarts`] runs independent annealing
-//!   chains concurrently. Evaluation consumes no randomness, so seeded
-//!   searches are bit-identical whether batches execute serially or in
-//!   parallel.
+//!   the `SoA` kernel, inline up to one 1,024-point chunk and per chunk
+//!   across all cores above it (scoped threads, one pooled kernel
+//!   scratch per worker). NSGA-II evaluates each generation's fresh
+//!   genomes as one batch (about 36 on the default coarse 3-node run,
+//!   so it runs inline on the calling thread), exhaustive search steps
+//!   an odometer through the space
+//!   ([`model::space::DesignSpace::step_point`]) into reused
+//!   multi-chunk batches, and [`dse::mosa::mosa_restarts`] runs
+//!   independent annealing chains concurrently. Evaluation consumes no
+//!   randomness, so seeded searches are bit-identical whether batches
+//!   execute serially or in parallel.
 //!
-//! Measured on one (noisy, shared) core — `dse_throughput`, 6-node case
-//! study, mixed feasible/infeasible sweep: ≈ 2–4 M evals/s for the
-//! allocating serial path, ≈ 9–14 M evals/s for the scalar fast path,
-//! and ≈ 15–20 M evals/s for the `SoA` kernel (the paper's reference
-//! implementation reports ≈ 4.8 k evals/s). Multi-core runners multiply
-//! the batch path by roughly the core count on top. The binary writes
-//! its measurements to `./BENCH_dse.json` (gitignored); the recorded
-//! baseline for cross-PR comparison lives at
-//! `benchmarks/BENCH_dse.json`.
+//! Throughput is measured by the repository benchmark: `BENCHMARK.json`
+//! names its command, workloads and metrics, and
+//! `perfbench/WORKLOADS.md` explains each workload and layer metric.
 
 #![warn(missing_docs)]
 
