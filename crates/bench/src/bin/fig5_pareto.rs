@@ -1,6 +1,6 @@
 //! Figure 5 reproduction: energy/delay/PRD trade-off fronts found with
 //! the proposed three-objective model, against the fronts found by a
-//! state-of-the-art energy/delay model ([26]) that is blind to the
+//! state-of-the-art energy/delay model (\[26\]) that is blind to the
 //! application-quality axis.
 //!
 //! Both searches and the baseline's 3-D re-evaluation run through the

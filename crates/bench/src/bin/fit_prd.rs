@@ -1,7 +1,7 @@
 //! Support experiment: regenerates the fifth-order `P5(CR)` PRD fits of
 //! §4.3 from the real DWT/CS codecs running on synthetic ECG.
 //!
-//! The paper fits its polynomials to the experimental data of [13]; this
+//! The paper fits its polynomials to the experimental data of \[13\]; this
 //! reproduction fits them to measurements of `wbsn-dsp`. The printed
 //! coefficient blocks are what ships as defaults in
 //! `wbsn_model::shimmer::{dwt_prd_poly, cs_prd_poly}`.

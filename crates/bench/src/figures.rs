@@ -308,7 +308,7 @@ pub fn fig5_fine_space() -> DesignSpace {
 }
 
 /// Fig. 5 — energy/delay/PRD trade-off fronts of the proposed
-/// three-objective model vs the energy/delay-only baseline ([26]), both
+/// three-objective model vs the energy/delay-only baseline (\[26\]), both
 /// searched with NSGA-II over the batch evaluation engine; the
 /// baseline's front is re-placed in 3-D objective space through the
 /// batch evaluator.

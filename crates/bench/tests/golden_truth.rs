@@ -2,12 +2,11 @@
 //! every [`wbsn_dse::truth`] scenario, snapshotted under
 //! `benchmarks/golden/truth_<scenario>.txt` and compared **bitwise**.
 //!
-//! The fronts are computed through the axis-major incremental sweep
+//! The fronts are computed through the axis-major sweep
 //! (`exhaustive_incremental`), which is property-tested bit-identical
-//! to the canonical sweep and to the scalar reference model — so this
-//! suite locks the *entire* evaluation chain: space enumeration, the
-//! `SoA` batch kernels, the axis-run fast path, feasibility screening
-//! and Pareto archiving. Any drift in any of those layers moves at
+//! to the scalar reference model — so this suite locks the *entire*
+//! evaluation chain: the `SoA` cell tables, the whole-space walk and
+//! its subtree pruning, the Eq. 8/9 reductions and Pareto archiving. Any drift in any of those layers moves at
 //! least one objective bit and fails at the first diverging line.
 //!
 //! To regenerate after an *intentional* model change:

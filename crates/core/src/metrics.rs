@@ -66,7 +66,7 @@ impl NetworkObjectives {
     }
 
     /// Restricted view used by the state-of-the-art energy/delay model
-    /// ([26] in the paper): drops the application-quality axis.
+    /// (\[26\] in the paper): drops the application-quality axis.
     #[must_use]
     pub fn energy_delay(self) -> [f64; 2] {
         [self.energy, self.delay]

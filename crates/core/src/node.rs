@@ -49,7 +49,7 @@ impl SensorModel {
 /// Microcontroller energy model (Eq. 4).
 ///
 /// `EµC = Dutyapp · (αµC,1·fµC + αµC,0)` — linear in frequency, scaled by
-/// the application duty cycle [21].
+/// the application duty cycle \[21\].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct McuModel {
     /// `αµC,1` expressed in mW per MHz (i.e. mJ/s per MHz of clock).
@@ -71,7 +71,7 @@ impl McuModel {
 ///
 /// `Emem = γapp·Tmem·Eacc + (1 − γapp·Tmem)·8·Mapp·Ebitidle` — dynamic
 /// consumption of the `γapp` accesses per second plus leakage of the
-/// resident footprint during the remaining time [7].
+/// resident footprint during the remaining time \[7\].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryModel {
     /// `Tmem`: access time.

@@ -4,9 +4,9 @@
 //! A/D ⇒ `φin` = 375 B/s) and characterizes the two compression
 //! applications measured in the paper:
 //!
-//! * **DWT** — wavelet compression [23]: heavy compute
+//! * **DWT** — wavelet compression \[23\]: heavy compute
 //!   (`Duty = 2265.6 / fµC[kHz]`), best quality;
-//! * **CS** — compressed sensing [13]: light compute
+//! * **CS** — compressed sensing \[13\]: light compute
 //!   (`Duty = 388.8 / fµC[kHz]`), lower quality at equal rate.
 //!
 //! Quality is the PRD between original and reconstructed ECG, estimated by
@@ -114,9 +114,9 @@ impl ShimmerPlatform {
 /// Which compression application a node runs (§4.1: half DWT, half CS).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CompressionKind {
-    /// Digital wavelet transform compression [23].
+    /// Digital wavelet transform compression \[23\].
     Dwt,
-    /// Compressed sensing [13].
+    /// Compressed sensing \[13\].
     Cs,
 }
 
@@ -255,7 +255,7 @@ macro_rules! compression_app {
 }
 
 compression_app!(
-    /// Wavelet-compression application model (§4.3, [23]).
+    /// Wavelet-compression application model (§4.3, \[23\]).
     ///
     /// ```
     /// use wbsn_model::app::ApplicationModel;
@@ -275,7 +275,7 @@ compression_app!(
 );
 
 compression_app!(
-    /// Compressed-sensing application model (§4.3, [13]).
+    /// Compressed-sensing application model (§4.3, \[13\]).
     ///
     /// ```
     /// use wbsn_model::app::ApplicationModel;

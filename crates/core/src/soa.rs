@@ -37,10 +37,10 @@
 //! parameter errors and duty-cycle overflows, tagged with the node
 //! index), then the Eq. 1–2 assignment (per-node bandwidth shortfall in
 //! node order, then the GTS capacity total). That resolution sequence
-//! lives in **exactly one place** — the monomorphized [`walk_point`]
-//! helper every batch entry point (objectives, axis runs, full)
-//! instantiates with its own per-node sink — so the order cannot drift
-//! between kernels. Two mechanisms reproduce it:
+//! lives in **exactly one place** — the monomorphized `walk_point`
+//! helper both batch kernels (objectives, full) instantiate with their
+//! own per-node sink — so the order cannot drift between kernels. Two
+//! mechanisms reproduce it:
 //!
 //! * a *node-outcome* failure stops the decode walk at the failing node
 //!   — exactly where the scalar node loop stops — and re-tags the
@@ -52,11 +52,20 @@
 //!   first bandwidth-flagged node, then checking the capacity total —
 //!   the exact order of `assign_slots_into`.
 //!
-//! Because grid entries are built by the same
-//! [`WbsnModel::node_outcome`] code path the scalar memo uses, the
-//! resolved error is identical to the scalar one — a property
-//! `crates/wbsn/tests/soa_parity.rs` checks against random batches
-//! (including batches straddling the interning capacity).
+//! Because grid entries are built by the same `WbsnModel::node_outcome`
+//! code path the scalar memo uses, the resolved error is identical to
+//! the scalar one — a property `crates/wbsn/tests/soa_parity.rs` checks
+//! against random batches (including batches straddling the interning
+//! capacity).
+//!
+//! # Whole-space walk
+//!
+//! [`WbsnModel::sweep_axis_major`] evaluates a whole [`DesignSpace`]
+//! without building a [`DesignPoint`]: per MAC configuration it copies
+//! the space's cells out of the tables once, then descends node by node
+//! carrying the left-fold sums. A dead cell or a prefix past the slot
+//! capacity counts its subtree as infeasible unvisited (slot counts are
+//! never negative); a feasible leaf runs the kernels' Eq. 8/9 reductions.
 //!
 //! # Full evaluations
 //!
@@ -70,8 +79,8 @@
 //! exactly `points[i].nodes.len()` entries — bit-exact per-node values
 //! when `outcomes()[i]` is `Ok`, zero-filled when it carries the
 //! (identical-to-scalar) `ModelError`. Cells are shared with the
-//! objectives kernels, so mixed batches through one scratch reuse all
-//! warmth.
+//! objectives kernel and the walk, so mixed calls through one scratch
+//! reuse all warmth.
 //!
 //! # Bit-exactness
 //!
@@ -85,7 +94,8 @@
 //! One [`SoaScratch`] serves one thread; create one per worker for
 //! parallel batches (see `wbsn-dse`'s `Evaluator::evaluate_batch`).
 //! Steady state (tables warm, buffers grown) performs zero heap
-//! allocations per batch — enforced by `crates/dse/tests/alloc_free.rs`.
+//! allocations per batch or walk — enforced by
+//! `crates/dse/tests/alloc_free.rs`.
 
 use crate::delay::control_time_from_total_slots;
 use crate::error::ModelError;
@@ -95,8 +105,8 @@ use crate::mac::MacModel;
 use crate::metrics::{balanced_metric_with_sum, NetworkObjectives};
 use crate::node::NodeModel;
 use crate::space::{
-    node_axis_index, order_pair_axis_index, payload_axis_index, DesignPoint, NODE_AXIS_SLOTS,
-    ORDER_PAIR_SLOTS, PAYLOAD_AXIS,
+    node_axis_index, order_pair_axis_index, payload_axis_index, DesignPoint, DesignSpace,
+    NODE_AXIS_SLOTS, ORDER_PAIR_SLOTS, PAYLOAD_AXIS,
 };
 use crate::units::ByteRate;
 
@@ -112,6 +122,9 @@ const ENTRY_OK: u32 = 2;
 /// Cell flag: the node's Eq. 1 airtime fits the per-node budget under
 /// this MAC.
 const BW_OK: u32 = 4;
+/// Both feasibility flags: a cell with these set can be part of a
+/// feasible point.
+const LIVE: u32 = ENTRY_OK | BW_OK;
 
 /// One `(node configuration, MAC configuration)` cell: the hot scalars
 /// the gather loop needs, 24 bytes. The cold bandwidth detail lives in
@@ -186,12 +199,24 @@ struct CellBlock {
 }
 
 impl CellBlock {
-    /// Grows all parallel arrays to cover grid entry `g`.
+    /// The cell of grid entry `g` under MAC `me`, grown and filled on
+    /// first use.
     #[inline]
-    fn grow_to(&mut self, grid_len: usize) {
-        self.cells.resize(grid_len, EMPTY_CELL);
-        self.bw_needed.resize(grid_len, 0.0);
-        self.radio.resize(grid_len, 0.0);
+    fn cell(&mut self, model: &WbsnModel, me: &MacEntry, grid: &GridTable, g: usize) -> Cell {
+        if g >= self.cells.len() {
+            self.cells.resize(grid.entries.len(), EMPTY_CELL);
+            self.bw_needed.resize(grid.entries.len(), 0.0);
+            self.radio.resize(grid.entries.len(), 0.0);
+        }
+        let mut cell = self.cells[g];
+        if cell.flags & FILLED == 0 {
+            let (fresh, bw, radio) = fill_cell(model, me, &grid.entries[g], grid.errs[g].is_none());
+            self.cells[g] = fresh;
+            self.bw_needed[g] = bw;
+            self.radio[g] = radio;
+            cell = fresh;
+        }
+        cell
     }
 }
 
@@ -484,10 +509,9 @@ enum Walked {
 }
 
 /// **The** per-point walk — the single place the decode + intern +
-/// gather loop and its error-resolution sequence exist. Every batch
-/// entry point (the objectives kernel, the axis-run kernel's run heads
-/// and the full-evaluation kernel) instantiates it with its own
-/// monomorphized `per_node` sink, so the resolution order — MAC
+/// gather loop and its error-resolution sequence exist. Both batch
+/// kernels (objectives and full evaluation) instantiate it with their
+/// own monomorphized `per_node` sink, so the resolution order — MAC
 /// validation, first failing node outcome (re-tagged with its node
 /// index), first bandwidth-flagged node in `assign_slots_into`'s scan
 /// order, then the GTS capacity total — cannot drift between kernels.
@@ -532,17 +556,7 @@ fn walk_point(
         let Some(g) = grid.intern(model, node, retransmission_factor, &me.mac) else {
             return Walked::Spill;
         };
-        if g >= block.cells.len() {
-            block.grow_to(grid.entries.len());
-        }
-        let mut cell = block.cells[g];
-        if cell.flags & FILLED == 0 {
-            let (fresh, bw, radio) = fill_cell(model, me, &grid.entries[g], grid.errs[g].is_none());
-            block.cells[g] = fresh;
-            block.bw_needed[g] = bw;
-            block.radio[g] = radio;
-            cell = fresh;
-        }
+        let cell = block.cell(model, me, grid, g);
         per_node(j, g, &cell, &grid.entries, &block.radio);
         sum_energy += cell.energy;
         sum_prd += cell.prd;
@@ -615,63 +629,6 @@ fn delay_reduce(me: &MacEntry, total: u32, slots: &[u32], delays: &mut [f64]) ->
 }
 // verify: hot-path-end(delay-reduce)
 
-/// One point through [`walk_point`] + the Eq. 8/9 finalization — the
-/// plain objectives kernel's loop body, factored out so the axis-run
-/// kernel's priming and fallback paths share it literally (bit-identity
-/// between the kernels then holds by construction, not by parallel
-/// maintenance). Lane slices must already be sized to at least
-/// `point.nodes.len()`.
-// The split `SoaScratch` borrows cannot bundle into a struct here:
-// `walk_point` needs `grid`/`macs`/`cells` raw (interning splits
-// `&mut cells[m]` off the whole vector), and the lane slices are
-// reborrowed disjointly per phase.
-#[expect(clippy::too_many_arguments)]
-#[inline]
-fn eval_point_via_walk(
-    model: &WbsnModel,
-    grid: &mut GridTable,
-    macs: &mut MacTable,
-    cells: &mut Vec<CellBlock>,
-    fallback: &mut EvalScratch,
-    spills: &mut u64,
-    point: &DesignPoint,
-    retransmission_factor: f64,
-    theta: f64,
-    energies: &mut [f64],
-    delays: &mut [f64],
-    prds: &mut [f64],
-    slots: &mut [u32],
-) -> PointOutcome {
-    let n = point.nodes.len();
-    // The sink gathers the per-node cell scalars into per-point arrays;
-    // the walk resolves every infeasibility and carries the Eq. 8
-    // element sums out in `iter().sum()`'s left-fold order (see
-    // `balanced_metric_with_sum`).
-    let (en, pr, sl) = (&mut energies[..n], &mut prds[..n], &mut slots[..n]);
-    let walked =
-        walk_point(model, grid, macs, cells, point, retransmission_factor, |j, _, cell, _, _| {
-            en[j] = cell.energy;
-            pr[j] = cell.prd;
-            sl[j] = cell.k;
-        });
-    match walked {
-        Walked::Spill => {
-            *spills += 1;
-            model.evaluate_objectives(&point.mac, &point.nodes, fallback)
-        }
-        Walked::Dead(err) => Err(err),
-        Walked::Alive { mac, total, sum_energy, sum_prd } => {
-            let me = &macs.entries[mac];
-            let sum_delay = delay_reduce(me, total, &slots[..n], &mut delays[..n]);
-            Ok(NetworkObjectives {
-                energy: balanced_metric_with_sum(&energies[..n], sum_energy, theta),
-                delay: balanced_metric_with_sum(&delays[..n], sum_delay, theta),
-                prd: balanced_metric_with_sum(&prds[..n], sum_prd, theta),
-            })
-        }
-    }
-}
-
 /// Reusable working memory (and persistent caches) of the `SoA` kernel.
 ///
 /// Holds the interned grid/MAC/cell tables plus every per-batch buffer,
@@ -703,6 +660,51 @@ pub struct SoaScratch {
     /// on the path taken — but it lets harnesses *assert* that a
     /// workload really exercised the spill path instead of assuming it.
     spills: u64,
+    /// Buffers of the whole-space walk.
+    walk: WalkBuffers,
+}
+
+/// Left folds over the nodes before one depth of the whole-space walk:
+/// the Eq. 8 energy and PRD sums and the Eq. 1 slot total.
+#[derive(Debug, Clone, Copy, Default)]
+struct Prefix {
+    energy: f64,
+    prd: f64,
+    total: u32,
+}
+
+/// Buffers of [`WbsnModel::sweep_axis_major`], reused across walks.
+#[derive(Debug, Clone, Default)]
+struct WalkBuffers {
+    /// MAC entry per [`DesignSpace::mac_configs`] item.
+    macs: Vec<usize>,
+    /// Grid entry per `(node, pick)`, node-major; pick `q` of a node is
+    /// `CR digit × |fµC| + fµC digit`.
+    grid: Vec<usize>,
+    /// The current MAC's cells, laid out like `grid`.
+    cells: Vec<Cell>,
+    /// Points below one pick of node `j`: `|picks|^(n − 1 − j)`.
+    subtree: Vec<u64>,
+    /// Per node: its next pick, and the folds over the nodes before it.
+    picks: Vec<usize>,
+    prefix: Vec<Prefix>,
+    /// The current point's digits, in [`DesignSpace::dimension_radices`]
+    /// order.
+    digits: Vec<usize>,
+}
+
+/// One feasible point of [`WbsnModel::sweep_axis_major`].
+#[derive(Debug, Clone, Copy)]
+pub struct SweepLeaf<'a> {
+    /// The point's pick digits, in [`DesignSpace::dimension_radices`]
+    /// order: [`DesignSpace::point_with`] builds the point from them.
+    pub digits: &'a [usize],
+    /// Exactly what [`WbsnModel::evaluate_objectives`] returns for the
+    /// point.
+    pub objectives: NetworkObjectives,
+    /// Per-node `Enode` in mJ/s: the energy lane
+    /// [`WbsnModel::evaluate_batch_full`] writes for the point.
+    pub energies: &'a [f64],
 }
 
 impl SoaScratch {
@@ -797,113 +799,17 @@ impl WbsnModel {
                 prds.resize(n, 0.0);
                 slots.resize(n, 0);
             }
-            results.push(eval_point_via_walk(
-                self,
-                grid,
-                macs,
-                cells,
-                fallback,
-                spills,
-                point,
-                retransmission_factor,
-                theta,
-                energies,
-                delays,
-                prds,
-                slots,
-            ));
-        }
-        results
-    }
-
-    /// Axis-run sibling of [`WbsnModel::evaluate_objectives_batch`]:
-    /// the same contract — for every point, bit-identical objectives
-    /// and identical [`ModelError`]s to the scalar path, results in
-    /// batch order — restructured for batches laid out as **axis
-    /// runs**: stretches of consecutive points that share the MAC
-    /// configuration and every node but the last, differing only in the
-    /// last node's `(kind, CR, fµC)` pick. The axis-major exhaustive
-    /// sweep produces exactly this layout by construction (the last
-    /// node's dimensions are its fastest-varying digits), with runs of
-    /// `|CR| × |fµC|` points.
-    ///
-    /// Each run is primed by one full [`walk_point`] of its first
-    /// point. When that walk comes back `Alive`, the shared prefix is
-    /// trusted for the rest of the run: the first `N − 1` nodes'
-    /// gathered lanes stay in place, their Eq. 8 partial sums are
-    /// re-folded once (the exact left-fold prefix of `iter().sum()`,
-    /// so splicing the last element on yields `iter().sum()`'s bits),
-    /// and every subsequent point costs one dense cell load for its
-    /// last node plus the O(N) Eq. 8/9 finalization — instead of the
-    /// full N-node intern-and-gather walk.
-    ///
-    /// Error resolution stays in its single home: a point whose last
-    /// cell is not cleanly feasible (entry failure, bandwidth flag, GTS
-    /// overflow) or whose last pick is off-axis is re-run through the
-    /// full per-point path ([`eval_point_via_walk`]), as is every point
-    /// of a run whose head did not walk `Alive` — the fast path only
-    /// ever *skips* work on points that need no error, never re-derives
-    /// an error sequence. On a batch with no shared-prefix structure
-    /// this degrades to exactly the plain kernel, point by point.
-    pub fn evaluate_objectives_batch_axis_runs<'s>(
-        &self,
-        points: &[DesignPoint],
-        scratch: &'s mut SoaScratch,
-    ) -> &'s [PointOutcome] {
-        scratch.revalidate(self);
-        let retransmission_factor = 1.0 / (1.0 - self.packet_error_rate());
-        let theta = self.theta();
-
-        let SoaScratch {
-            grid,
-            macs,
-            cells,
-            energies,
-            delays,
-            prds,
-            slots,
-            results,
-            fallback,
-            spills,
-            ..
-        } = scratch;
-        results.clear();
-        results.reserve(points.len());
-
-        let mut i = 0usize;
-        while i < points.len() {
-            let head = &points[i];
-            let n = head.nodes.len();
-            // Maximal axis run: consecutive points sharing the MAC and
-            // every node but the last.
-            let mut end = i + 1;
-            while n > 0
-                && end < points.len()
-                && points[end].mac == head.mac
-                && points[end].nodes.len() == n
-                && points[end].nodes[..n - 1] == head.nodes[..n - 1]
-            {
-                end += 1;
-            }
-            if n > energies.len() {
-                energies.resize(n, 0.0);
-                delays.resize(n, 0.0);
-                prds.resize(n, 0.0);
-                slots.resize(n, 0);
-            }
-            // Prime the run: one full walk of its head, gathering the
-            // per-node lanes exactly like the plain kernel. Only an
-            // `Alive` head arms the fast path — a spilled head proves
-            // nothing about the prefix (its lanes are partial and its
-            // MAC may not even be interned), and a dead head already
-            // carries the run-wide verdict candidates.
+            // The sink gathers the per-node cell scalars into per-point
+            // arrays; the walk resolves every infeasibility and carries
+            // the Eq. 8 element sums out in `iter().sum()`'s left-fold
+            // order (see `balanced_metric_with_sum`).
             let (en, pr, sl) = (&mut energies[..n], &mut prds[..n], &mut slots[..n]);
             let walked = walk_point(
                 self,
                 grid,
                 macs,
                 cells,
-                head,
+                point,
                 retransmission_factor,
                 |j, _, cell, _, _| {
                     en[j] = cell.energy;
@@ -911,138 +817,183 @@ impl WbsnModel {
                     sl[j] = cell.k;
                 },
             );
-            let alive = match walked {
+            results.push(match walked {
                 Walked::Spill => {
                     *spills += 1;
-                    results.push(self.evaluate_objectives(&head.mac, &head.nodes, fallback));
-                    None
+                    self.evaluate_objectives(&point.mac, &point.nodes, fallback)
                 }
-                Walked::Dead(err) => {
-                    results.push(Err(err));
-                    None
-                }
+                Walked::Dead(err) => Err(err),
                 Walked::Alive { mac, total, sum_energy, sum_prd } => {
                     let me = &macs.entries[mac];
                     let sum_delay = delay_reduce(me, total, &slots[..n], &mut delays[..n]);
-                    results.push(Ok(NetworkObjectives {
+                    Ok(NetworkObjectives {
                         energy: balanced_metric_with_sum(&energies[..n], sum_energy, theta),
                         delay: balanced_metric_with_sum(&delays[..n], sum_delay, theta),
                         prd: balanced_metric_with_sum(&prds[..n], sum_prd, theta),
-                    }));
-                    Some(mac)
+                    })
                 }
-            };
+            });
+        }
+        results
+    }
 
-            // The fast path only matters for runs with tail points; the
-            // filter also keeps a 0-node head (always a 1-point run —
-            // extension requires `n > 0`) away from the `n - 1` prefix
-            // arithmetic.
-            if let Some(m) = alive.filter(|_| end > i + 1) {
-                // The head walked `Alive`, so nodes 0..N−1 are feasible
-                // and bandwidth-clean and their lanes sit in
-                // `energies`/`prds`/`slots`. Re-fold the prefix partial
-                // sums — the exact left-fold intermediates of
-                // `iter().sum()` over the first N−1 elements.
-                let mut prefix_energy = 0.0f64;
-                let mut prefix_prd = 0.0f64;
-                let mut prefix_total = 0u32;
-                for j in 0..n - 1 {
-                    prefix_energy += energies[j];
-                    prefix_prd += prds[j];
-                    prefix_total += slots[j];
+    /// Whole-space walk: calls `visit` once per feasible point of
+    /// `space` in axis-major order (payload slowest, then the `(SFO,
+    /// BCO)` pair, then each node's `(CR, fµC)` pick, the last node's
+    /// fµC fastest) with exactly the objectives
+    /// [`WbsnModel::evaluate_objectives`] returns for it, and returns
+    /// the number of infeasible points (see the [module docs](crate::soa)).
+    ///
+    /// Returns `None` before any visit when the dense tables cannot take
+    /// the space whole — an axis value off the canonical axes, a full
+    /// MAC table, no nodes or picks, a point count past `u64` — and the
+    /// caller evaluates it point by point instead. Runs on the calling
+    /// thread; a warm `scratch` allocates nothing.
+    pub fn sweep_axis_major(
+        &self,
+        space: &DesignSpace,
+        scratch: &mut SoaScratch,
+        mut visit: impl FnMut(&SweepLeaf<'_>),
+    ) -> Option<u64> {
+        let n = space.num_nodes();
+        let n_f = space.f_mcu_values.len();
+        let n_picks = space.cr_values.len() * n_f;
+        if n == 0 || n_picks == 0 {
+            return None;
+        }
+        scratch.revalidate(self);
+        let retransmission_factor = 1.0 / (1.0 - self.packet_error_rate());
+        let theta = self.theta();
+        let SoaScratch { grid, macs, cells, energies, delays, prds, slots, walk, .. } = scratch;
+
+        // Intern every MAC and node pick of the space before visiting
+        // anything, so an unsupported space is reported up front.
+        let n_nodes = u32::try_from(n).ok()?;
+        walk.macs.clear();
+        for cfg in space.mac_configs() {
+            walk.macs.push(macs.intern(cfg, n_nodes, cells)?);
+        }
+        walk.subtree.resize(n, 0);
+        let mut per_mac = 1u64;
+        for size in walk.subtree.iter_mut().rev() {
+            *size = per_mac;
+            per_mac = per_mac.checked_mul(n_picks as u64)?;
+        }
+        per_mac.checked_mul(walk.macs.len() as u64)?;
+        // Grid entries are MAC-independent (`node_outcome` drops the
+        // radio term), so any valid MAC interns them. With none, every
+        // point is dead whatever its node axes.
+        let valid = walk.macs.iter().find(|&&m| macs.errs[m].is_none());
+        walk.grid.clear();
+        if let Some(mac) = valid.map(|&m| macs.entries[m].mac) {
+            for &kind in &space.node_kinds {
+                for &cr in &space.cr_values {
+                    for &f_mcu in &space.f_mcu_values {
+                        let node = NodeConfig::new(kind, cr, f_mcu);
+                        walk.grid.push(grid.intern(self, &node, retransmission_factor, &mac)?);
+                    }
                 }
-                // `MacEntry` is `Copy`: the snapshot frees `macs` for the
-                // fallback walks below, and the entry is immutable once
-                // interned.
-                let me = macs.entries[m];
-                // verify: hot-path-begin(axis-run-inner)
-                for point in &points[i + 1..end] {
-                    let last = &point.nodes[n - 1];
-                    let fast = grid.intern(self, last, retransmission_factor, &me.mac).map(|g| {
-                        let block = &mut cells[m];
-                        if g >= block.cells.len() {
-                            block.grow_to(grid.entries.len());
-                        }
-                        let mut cell = block.cells[g];
-                        if cell.flags & FILLED == 0 {
-                            let (fresh, bw, radio) =
-                                fill_cell(self, &me, &grid.entries[g], grid.errs[g].is_none());
-                            block.cells[g] = fresh;
-                            block.bw_needed[g] = bw;
-                            block.radio[g] = radio;
-                            cell = fresh;
-                        }
-                        cell
-                    });
-                    let outcome = match fast {
-                        Some(cell)
-                            if cell.flags & (ENTRY_OK | BW_OK) == ENTRY_OK | BW_OK
-                                && prefix_total + cell.k <= me.capacity =>
-                        {
-                            // Cleanly feasible: splice the last cell into
-                            // the prefix folds. `prefix + last` carries
-                            // the full left-fold's exact bits.
-                            let total = prefix_total + cell.k;
-                            energies[n - 1] = cell.energy;
-                            prds[n - 1] = cell.prd;
-                            slots[n - 1] = cell.k;
-                            let sum_energy = prefix_energy + cell.energy;
-                            let sum_prd = prefix_prd + cell.prd;
-                            let sum_delay = delay_reduce(&me, total, &slots[..n], &mut delays[..n]);
-                            Ok(NetworkObjectives {
+            }
+        }
+        if n > energies.len() {
+            energies.resize(n, 0.0);
+            delays.resize(n, 0.0);
+            prds.resize(n, 0.0);
+            slots.resize(n, 0);
+        }
+        walk.cells.resize(n * n_picks, EMPTY_CELL);
+        walk.picks.resize(n, 0);
+        walk.prefix.resize(n, Prefix::default());
+        walk.digits.resize(2 + 2 * n, 0);
+
+        let n_orders = space.order_pairs.len();
+        let last = n - 1;
+        let mut infeasible = 0u64;
+        let WalkBuffers {
+            macs: mac_ids,
+            grid: grid_ids,
+            cells: row,
+            subtree,
+            picks,
+            prefix,
+            digits,
+        } = walk;
+        // verify: hot-path-begin(sweep-walk)
+        for (i, &m) in mac_ids.iter().enumerate() {
+            if macs.errs[m].is_some() {
+                infeasible += per_mac;
+                continue;
+            }
+            let me = &macs.entries[m];
+            let block = &mut cells[m];
+            for (cell, &g) in row.iter_mut().zip(grid_ids.iter()) {
+                *cell = block.cell(self, me, grid, g);
+            }
+            digits[0] = i / n_orders;
+            digits[1] = i % n_orders;
+            // Depth-first over the prefix nodes `0..last`: `picks[j]` is
+            // node `j`'s next pick, `prefix[j]` folds nodes `0..j`.
+            prefix[0] = Prefix::default();
+            picks[0] = 0;
+            let mut j = 0;
+            loop {
+                if j == last {
+                    // The leaves: every pick of the last node.
+                    let at = prefix[last];
+                    let leaves = &row[last * n_picks..];
+                    for (c, by_f) in leaves.chunks_exact(n_f).enumerate() {
+                        digits[2 * last + 2] = c;
+                        for (f, cell) in by_f.iter().enumerate() {
+                            let total = at.total + cell.k;
+                            if cell.flags & LIVE != LIVE || total > me.capacity {
+                                infeasible += 1;
+                                continue;
+                            }
+                            energies[last] = cell.energy;
+                            prds[last] = cell.prd;
+                            slots[last] = cell.k;
+                            let sum_delay = delay_reduce(me, total, &slots[..n], &mut delays[..n]);
+                            let (sum_energy, sum_prd) =
+                                (at.energy + cell.energy, at.prd + cell.prd);
+                            let objectives = NetworkObjectives {
                                 energy: balanced_metric_with_sum(&energies[..n], sum_energy, theta),
                                 delay: balanced_metric_with_sum(&delays[..n], sum_delay, theta),
                                 prd: balanced_metric_with_sum(&prds[..n], sum_prd, theta),
-                            })
+                            };
+                            digits[2 * last + 3] = f;
+                            visit(&SweepLeaf { digits, objectives, energies: &energies[..n] });
                         }
-                        // Off-axis last pick, entry failure, bandwidth
-                        // flag or GTS overflow: the full per-point path
-                        // owns spill and error resolution.
-                        _ => eval_point_via_walk(
-                            self,
-                            grid,
-                            macs,
-                            cells,
-                            fallback,
-                            spills,
-                            point,
-                            retransmission_factor,
-                            theta,
-                            energies,
-                            delays,
-                            prds,
-                            slots,
-                        ),
-                    };
-                    // verify: allow(hot-path-alloc, reason = "pre-reserved; reserve(points.len()) amortizes every push of the sweep")
-                    results.push(outcome);
+                    }
+                } else if picks[j] < n_picks {
+                    let q = picks[j];
+                    picks[j] += 1;
+                    let cell = row[j * n_picks + q];
+                    let at = prefix[j];
+                    let total = at.total + cell.k;
+                    if cell.flags & LIVE != LIVE || total > me.capacity {
+                        infeasible += subtree[j];
+                        continue;
+                    }
+                    energies[j] = cell.energy;
+                    prds[j] = cell.prd;
+                    slots[j] = cell.k;
+                    prefix[j + 1] =
+                        Prefix { energy: at.energy + cell.energy, prd: at.prd + cell.prd, total };
+                    digits[2 * j + 2] = q / n_f;
+                    digits[2 * j + 3] = q % n_f;
+                    j += 1;
+                    picks[j] = 0;
+                    continue;
                 }
-                // verify: hot-path-end(axis-run-inner)
-            } else {
-                // Head spilled or died: no trusted prefix — the rest of
-                // the run takes the plain per-point path.
-                for point in &points[i + 1..end] {
-                    let outcome = eval_point_via_walk(
-                        self,
-                        grid,
-                        macs,
-                        cells,
-                        fallback,
-                        spills,
-                        point,
-                        retransmission_factor,
-                        theta,
-                        energies,
-                        delays,
-                        prds,
-                        slots,
-                    );
-                    results.push(outcome);
+                // Node `j`'s picks are exhausted: back up one node.
+                if j == 0 {
+                    break;
                 }
+                j -= 1;
             }
-            i = end;
         }
-        results
+        // verify: hot-path-end(sweep-walk)
+        Some(infeasible)
     }
 }
 
@@ -1425,7 +1376,7 @@ mod tests {
 
     /// The spill counter attributes points to the right engine: fully
     /// on-axis batches never touch it, off-axis picks are counted once
-    /// per point, on every kernel (plain, axis-run, full).
+    /// per point, on both kernels (objectives, full).
     #[test]
     fn spill_count_tracks_off_axis_points_on_every_kernel() {
         let model = WbsnModel::shimmer();
@@ -1439,12 +1390,11 @@ mod tests {
             p.nodes[0].cr += 5e-4; // a tiny nudge is enough: indexing is bitwise
         }
         let mut full = FullEvalOut::new();
-        for kernel in 0..3u8 {
+        for kernel in 0..2u8 {
             let mut soa = SoaScratch::new();
             let run =
                 |pts: &[DesignPoint], soa: &mut SoaScratch, full: &mut FullEvalOut| match kernel {
                     0 => drop(model.evaluate_objectives_batch(pts, soa)),
-                    1 => drop(model.evaluate_objectives_batch_axis_runs(pts, soa)),
                     _ => model.evaluate_batch_full(pts, soa, full),
                 };
             run(&on_axis, &mut soa, &mut full);
@@ -1605,6 +1555,51 @@ mod tests {
         // Capacity/bandwidth errors under heavy loss.
         let lossy = WbsnModel::shimmer().with_packet_error_rate(0.92);
         assert_full_matches_scalar(&lossy, &space.sample_sweep(40));
+    }
+
+    /// The walk visits exactly the feasible points of the axis-major
+    /// enumeration, in order, with their digits, the scalar objectives'
+    /// bits and the full kernel's energy lane, on a space with
+    /// duty-cycle, bandwidth, GTS and MAC-validation deaths. Off the
+    /// dense axes it refuses before any visit.
+    #[test]
+    fn walk_visits_the_feasible_axis_major_points_bitwise() {
+        let model = WbsnModel::shimmer().with_packet_error_rate(0.6);
+        let mut space = DesignSpace::case_study(2);
+        space.cr_values = vec![0.17, 0.38];
+        space.f_mcu_values = [1.0, 4.0, 8.0].map(Hertz::from_mhz).to_vec();
+        space.payload_values = vec![30, 114];
+        space.order_pairs = vec![(4, 4), (4, 8), (9, 5), (6, 9)];
+        let bits = |v: &mut dyn Iterator<Item = f64>| v.map(f64::to_bits).collect::<Vec<_>>();
+        let (mut point, mut digits) = (space.point_at(0), vec![0; 6]);
+        let (mut expected, mut infeasible) = (Vec::new(), 0);
+        loop {
+            match model.evaluate(&point.mac, &point.nodes) {
+                Ok(e) => expected.push((
+                    digits.clone(),
+                    bits(&mut e.objectives.to_array().into_iter()),
+                    bits(&mut e.per_node.iter().map(|n| n.energy.total().mj_per_s())),
+                )),
+                Err(_) => infeasible += 1,
+            }
+            if !space.step_point(&mut point, &mut digits, crate::space::DigitOrder::LastFastest) {
+                break;
+            }
+        }
+        let mut soa = SoaScratch::new();
+        let mut visited = Vec::new();
+        let walked = model.sweep_axis_major(&space, &mut soa, |leaf| {
+            let objectives = bits(&mut leaf.objectives.to_array().into_iter());
+            let lane = bits(&mut leaf.energies.iter().copied());
+            visited.push((leaf.digits.to_vec(), objectives, lane));
+        });
+        assert_eq!(walked, Some(infeasible));
+        assert!(infeasible > 0 && !expected.is_empty());
+        assert_eq!(visited, expected);
+        space.cr_values.push(0.175);
+        let mut visits = 0;
+        assert_eq!(model.sweep_axis_major(&space, &mut soa, |_| visits += 1), None);
+        assert_eq!(visits, 0);
     }
 
     /// Mixing objective-only and full batches through one scratch shares

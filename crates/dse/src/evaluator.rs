@@ -2,35 +2,45 @@
 //!
 //! [`ModelEvaluator`] is the paper's proposal: the three-objective
 //! (energy, delay, PRD) analytical model. [`EnergyDelayEvaluator`] is the
-//! state-of-the-art baseline the paper compares against ([26]): the same
-//! energy/delay physics but *blind to application quality* — the reason
-//! it recovers only ~7 % of the true trade-offs (Fig. 5).
+//! state-of-the-art baseline the paper compares against (\[26\]): the
+//! same energy/delay physics but *blind to application quality* — the
+//! reason it recovers only ~7 % of the true trade-offs (Fig. 5).
 //! [`LifetimeEvaluator`] adds a fourth, battery-lifetime objective.
 //!
 //! All three override [`Evaluator::evaluate_batch`] with one batch path:
 //! every batch, whatever its size or node count, runs through its
 //! lane's struct-of-arrays kernel (`wbsn_model::soa`) —
-//! [`WbsnModel::evaluate_objectives_batch`] (or its axis-run sibling
-//! for [`Evaluator::evaluate_batch_axis_runs`]) for the two objective
+//! [`WbsnModel::evaluate_objectives_batch`] for the two objective
 //! lanes, [`WbsnModel::evaluate_batch_full`] for the lifetime lane —
 //! through interned dense node/MAC tables held in a pooled
-//! [`SoaScratch`]. A batch that fits one [`SOA_CHUNK`], or any batch
-//! when one thread is configured, runs inline on the calling thread;
-//! larger ones fan out chunk by chunk across the workers. Every kernel
-//! is bit-identical to the full model evaluation, so the path is
-//! invisible to callers. [`SerialEvaluator`] opts any evaluator back
-//! into the one-at-a-time default — the baseline the speedup is
-//! measured against and the reference for determinism tests.
+//! [`SoaScratch`]. A batch that fits one 1,024-point chunk, or any
+//! batch when one thread is configured, runs inline on the calling
+//! thread; larger ones fan out chunk by chunk across the workers.
+//!
+//! All three also override [`Evaluator::sweep_axis_major`] with the
+//! kernel's whole-space walk ([`WbsnModel::sweep_axis_major`]), which
+//! runs on the calling thread and projects each feasible leaf onto the
+//! lane's objectives. Every kernel is bit-identical to the full model
+//! evaluation, so the path is invisible to callers. [`SerialEvaluator`]
+//! opts any evaluator back into the one-at-a-time defaults — the
+//! baseline the speedup is measured against and the reference for
+//! determinism tests.
 
+use crate::exhaustive::batch_sweep;
 use crate::objective::ObjectiveVector;
 use crate::parallel::{num_threads, parallel_map_with_block};
 use std::sync::{Arc, Mutex};
 use wbsn_model::evaluate::WbsnModel;
 use wbsn_model::lifetime::Battery;
-use wbsn_model::soa::{FullEvalOut, SoaScratch};
-use wbsn_model::space::DesignPoint;
+use wbsn_model::soa::{FullEvalOut, SoaScratch, SweepLeaf};
+use wbsn_model::space::{DesignPoint, DesignSpace, DigitOrder};
 use wbsn_model::units::MilliWatts;
 use wbsn_model::NetworkObjectives;
+
+/// Receives the feasible points of a whole-space sweep, in enumeration
+/// order: each point's objectives and a builder of the point itself,
+/// to call only if the point is kept.
+pub type SweepVisitor<'a> = dyn FnMut(ObjectiveVector, &dyn Fn() -> DesignPoint) + 'a;
 
 /// Maps a design point to objectives; `None` marks infeasibility.
 pub trait Evaluator {
@@ -50,17 +60,27 @@ pub trait Evaluator {
         points.iter().map(|p| self.evaluate(p)).collect()
     }
 
-    /// Evaluates a batch whose points arrive in **axis-run order**:
-    /// stretches of consecutive points sharing the MAC configuration
-    /// and every node but the last (the layout the axis-major
-    /// exhaustive sweep produces by construction). The contract is
-    /// unchanged from [`Evaluator::evaluate_batch`] — `result[i]`
-    /// corresponds to `points[i]`, bit-identical to the serial map —
-    /// but implementations may exploit the layout to reuse shared-
-    /// prefix work. The layout is a *hint*: any point order is valid
-    /// input. The default simply delegates to `evaluate_batch`.
+    /// [`Evaluator::evaluate_batch`] for a batch laid out in axis runs
+    /// (consecutive points sharing the MAC and every node but the
+    /// last). A layout hint with no kernel behind it: it delegates to
+    /// `evaluate_batch`, and nothing in the workspace calls it. It is
+    /// kept only because perfbench's `TracedEvaluator` overrides it.
     fn evaluate_batch_axis_runs(&self, points: &[DesignPoint]) -> Vec<Option<ObjectiveVector>> {
         self.evaluate_batch(points)
+    }
+
+    /// Evaluates every point of `space` in axis-major order
+    /// ([`crate::exhaustive::point_at_axis_major`]), handing each
+    /// feasible one to `visit` in that order, and returns the number of
+    /// infeasible points. The stream is the one a serial map of
+    /// [`Evaluator::evaluate`] over the enumeration yields.
+    ///
+    /// The default steps an odometer through the space and evaluates it
+    /// in 4,096-point [`Evaluator::evaluate_batch`] calls. The model
+    /// evaluators override it with the `SoA` whole-space walk on the
+    /// calling thread.
+    fn sweep_axis_major(&self, space: &DesignSpace, visit: &mut SweepVisitor<'_>) -> u64 {
+        batch_sweep(self, space, DigitOrder::LastFastest, visit)
     }
 
     /// Number of objectives produced.
@@ -70,9 +90,10 @@ pub trait Evaluator {
     fn name(&self) -> &'static str;
 }
 
-/// Wrapper forcing the default serial [`Evaluator::evaluate_batch`] on
-/// any evaluator: the reference implementation for determinism tests and
-/// the baseline for speedup measurements.
+/// Wrapper forcing the trait's defaults on any evaluator — the serial
+/// [`Evaluator::evaluate_batch`] and the batch-loop
+/// [`Evaluator::sweep_axis_major`]: the reference implementation for
+/// determinism tests and the baseline for speedup measurements.
 #[derive(Debug, Clone)]
 pub struct SerialEvaluator<E>(pub E);
 
@@ -81,8 +102,8 @@ impl<E: Evaluator> Evaluator for SerialEvaluator<E> {
         self.0.evaluate(point)
     }
 
-    // evaluate_batch deliberately NOT overridden: inherits the serial
-    // default even when `E` has a parallel override.
+    // evaluate_batch and sweep_axis_major deliberately NOT overridden:
+    // they inherit the defaults even when `E` overrides them.
 
     fn num_objectives(&self) -> usize {
         self.0.num_objectives()
@@ -140,6 +161,27 @@ impl<T: Default> Drop for Pooled<T> {
 /// enough to split a large batch across every core.
 const SOA_CHUNK: usize = 1024;
 
+/// The model evaluators' [`Evaluator::sweep_axis_major`]: the `SoA`
+/// whole-space walk through `scratch`, each feasible leaf projected onto
+/// the lane's objectives by `project`. `None`, with nothing visited,
+/// when the walk does not take the space; the caller then runs the
+/// default batch loop.
+fn walk(
+    model: &WbsnModel,
+    scratch: &mut SoaScratch,
+    space: &DesignSpace,
+    visit: &mut SweepVisitor<'_>,
+    project: impl Fn(&SweepLeaf<'_>) -> ObjectiveVector,
+) -> Option<u64> {
+    model.sweep_axis_major(space, scratch, |leaf| {
+        let point = || {
+            let mut digits = leaf.digits.iter().copied();
+            space.point_with(|_| digits.next().expect("one digit per dimension"))
+        };
+        visit(project(leaf), &point);
+    })
+}
+
 /// The one batch dispatcher behind every model-backed evaluator: runs
 /// `kernel` over the whole batch inline through one pooled state when
 /// the batch fits a [`SOA_CHUNK`] or one thread is configured, and
@@ -166,22 +208,15 @@ fn dispatch<T: Default + Send>(
 }
 
 /// The objective lanes' kernel under [`dispatch`]: the plain `SoA`
-/// objectives kernel, or its axis-run sibling when the caller promises
-/// that layout (`axis_runs`), with each feasible outcome projected by
-/// `project`.
+/// objectives kernel, with each feasible outcome projected by `project`.
 fn objectives_batch(
     model: &WbsnModel,
     pool: &Arc<Pool<SoaScratch>>,
     points: &[DesignPoint],
-    axis_runs: bool,
     project: impl Fn(&NetworkObjectives) -> ObjectiveVector + Sync,
 ) -> Vec<Option<ObjectiveVector>> {
     dispatch(pool, points, |scratch, chunk| {
-        let outcomes = if axis_runs {
-            model.evaluate_objectives_batch_axis_runs(chunk, scratch)
-        } else {
-            model.evaluate_objectives_batch(chunk, scratch)
-        };
+        let outcomes = model.evaluate_objectives_batch(chunk, scratch);
         outcomes.iter().map(|outcome| outcome.as_ref().ok().map(&project)).collect()
     })
 }
@@ -216,15 +251,16 @@ impl Evaluator for ModelEvaluator {
     }
 
     fn evaluate_batch(&self, points: &[DesignPoint]) -> Vec<Option<ObjectiveVector>> {
-        objectives_batch(&self.model, &self.pool, points, false, |o| {
+        objectives_batch(&self.model, &self.pool, points, |o| {
             ObjectiveVector::from_slice(&o.to_array())
         })
     }
 
-    fn evaluate_batch_axis_runs(&self, points: &[DesignPoint]) -> Vec<Option<ObjectiveVector>> {
-        objectives_batch(&self.model, &self.pool, points, true, |o| {
-            ObjectiveVector::from_slice(&o.to_array())
-        })
+    fn sweep_axis_major(&self, space: &DesignSpace, visit: &mut SweepVisitor<'_>) -> u64 {
+        let walked = walk(&self.model, &mut self.pool.take().state, space, visit, |leaf| {
+            ObjectiveVector::from_slice(&leaf.objectives.to_array())
+        });
+        walked.unwrap_or_else(|| batch_sweep(self, space, DigitOrder::LastFastest, visit))
     }
 
     fn num_objectives(&self) -> usize {
@@ -236,7 +272,7 @@ impl Evaluator for ModelEvaluator {
     }
 }
 
-/// The energy/delay-only baseline model ([26]): same physics, no
+/// The energy/delay-only baseline model (\[26\]): same physics, no
 /// application-quality axis.
 #[derive(Debug, Clone)]
 pub struct EnergyDelayEvaluator {
@@ -267,15 +303,16 @@ impl Evaluator for EnergyDelayEvaluator {
     }
 
     fn evaluate_batch(&self, points: &[DesignPoint]) -> Vec<Option<ObjectiveVector>> {
-        objectives_batch(&self.model, &self.pool, points, false, |o| {
+        objectives_batch(&self.model, &self.pool, points, |o| {
             ObjectiveVector::from_slice(&o.energy_delay())
         })
     }
 
-    fn evaluate_batch_axis_runs(&self, points: &[DesignPoint]) -> Vec<Option<ObjectiveVector>> {
-        objectives_batch(&self.model, &self.pool, points, true, |o| {
-            ObjectiveVector::from_slice(&o.energy_delay())
-        })
+    fn sweep_axis_major(&self, space: &DesignSpace, visit: &mut SweepVisitor<'_>) -> u64 {
+        let walked = walk(&self.model, &mut self.pool.take().state, space, visit, |leaf| {
+            ObjectiveVector::from_slice(&leaf.objectives.energy_delay())
+        });
+        walked.unwrap_or_else(|| batch_sweep(self, space, DigitOrder::LastFastest, visit))
     }
 
     fn num_objectives(&self) -> usize {
@@ -310,7 +347,8 @@ struct FullState {
 ///
 /// The batch path runs [`WbsnModel::evaluate_batch_full`] because the
 /// lifetime axis needs the per-node `Enode` lane — the aggregate
-/// objectives only carry the network mean.
+/// objectives only carry the network mean. The whole-space walk hands
+/// each leaf the same lane.
 #[derive(Debug, Clone)]
 pub struct LifetimeEvaluator {
     model: WbsnModel,
@@ -331,20 +369,25 @@ impl LifetimeEvaluator {
         Self { model, battery, full_pool: Arc::default() }
     }
 
-    /// Negated lifetime-days at the worst per-node draw: the fourth
-    /// objective value.
-    fn lifetime_objective(&self, max_draw_mw: f64) -> f64 {
-        -self.battery.lifetime_days(MilliWatts::new(max_draw_mw))
+    /// The four objectives of a feasible point: its three model
+    /// objectives, then negated lifetime-days at the worst of its
+    /// per-node `Enode` draws (mJ/s).
+    fn project(
+        &self,
+        objectives: &NetworkObjectives,
+        draws: impl Iterator<Item = f64>,
+    ) -> ObjectiveVector {
+        let max_draw = draws.fold(0.0f64, f64::max);
+        let [energy, delay, prd] = objectives.to_array();
+        let lifetime = -self.battery.lifetime_days(MilliWatts::new(max_draw));
+        ObjectiveVector::from_slice(&[energy, delay, prd, lifetime])
     }
 }
 
 impl Evaluator for LifetimeEvaluator {
     fn evaluate(&self, point: &DesignPoint) -> Option<ObjectiveVector> {
         self.model.evaluate(&point.mac, &point.nodes).ok().map(|e| {
-            let max_draw =
-                e.per_node.iter().map(|n| n.energy.total().value()).fold(0.0f64, f64::max);
-            let [energy, delay, prd] = e.objectives.to_array();
-            ObjectiveVector::from_slice(&[energy, delay, prd, self.lifetime_objective(max_draw)])
+            self.project(&e.objectives, e.per_node.iter().map(|n| n.energy.total().value()))
         })
     }
 
@@ -356,22 +399,19 @@ impl Evaluator for LifetimeEvaluator {
                 .iter()
                 .enumerate()
                 .map(|(i, outcome)| {
-                    outcome.as_ref().ok().map(|o| {
-                        let max_draw = full.energy()[full.node_range(i)]
-                            .iter()
-                            .copied()
-                            .fold(0.0f64, f64::max);
-                        let [energy, delay, prd] = o.to_array();
-                        ObjectiveVector::from_slice(&[
-                            energy,
-                            delay,
-                            prd,
-                            self.lifetime_objective(max_draw),
-                        ])
-                    })
+                    let draws = full.energy()[full.node_range(i)].iter().copied();
+                    outcome.as_ref().ok().map(|o| self.project(o, draws))
                 })
                 .collect()
         })
+    }
+
+    fn sweep_axis_major(&self, space: &DesignSpace, visit: &mut SweepVisitor<'_>) -> u64 {
+        let walked =
+            walk(&self.model, &mut self.full_pool.take().state.soa, space, visit, |leaf| {
+                self.project(&leaf.objectives, leaf.energies.iter().copied())
+            });
+        walked.unwrap_or_else(|| batch_sweep(self, space, DigitOrder::LastFastest, visit))
     }
 
     fn num_objectives(&self) -> usize {
@@ -457,9 +497,9 @@ mod tests {
         batches
     }
 
-    /// Both batch methods of `eval`, inline (one thread) and fanned
-    /// out (three threads), equal the serial map of `evaluate` on
-    /// every [`dispatch_batches`] shape.
+    /// `evaluate_batch` of `eval`, inline (one thread) and fanned out
+    /// (three threads), equals the serial map of `evaluate` on every
+    /// [`dispatch_batches`] shape.
     fn assert_batch_paths_match_serial<E: Evaluator + Clone>(eval: &E) {
         let serial = SerialEvaluator(eval.clone());
         for points in dispatch_batches() {
@@ -469,7 +509,6 @@ mod tests {
                     let nodes = points.first().map_or(0, |p| p.nodes.len());
                     let shape = format!("{} {nodes}-node points, {threads} threads", points.len());
                     assert_eq!(eval.evaluate_batch(&points), expected, "{shape}");
-                    assert_eq!(eval.evaluate_batch_axis_runs(&points), expected, "{shape}");
                 });
             }
         }

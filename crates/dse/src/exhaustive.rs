@@ -1,7 +1,7 @@
 //! Exhaustive enumeration for small design spaces: the ground truth the
 //! metaheuristics are validated against.
 
-use crate::evaluator::Evaluator;
+use crate::evaluator::{Evaluator, SweepVisitor};
 use crate::nsga2::SearchResult;
 use crate::pareto::{ParetoArchive, RejectFilter};
 use wbsn_model::space::{DesignPoint, DesignSpace, DigitOrder};
@@ -43,7 +43,9 @@ pub fn enumeration_size(space: &DesignSpace) -> u128 {
 /// ```
 #[must_use]
 pub fn exhaustive(space: &DesignSpace, evaluator: &dyn Evaluator, limit: u128) -> SearchResult {
-    sweep(space, evaluator, limit, DigitOrder::FirstFastest)
+    archive_sweep(space, limit, |visit| {
+        batch_sweep(evaluator, space, DigitOrder::FirstFastest, visit)
+    })
 }
 
 /// Decodes linear index `index` in **axis-major** order: the mirror of
@@ -51,14 +53,11 @@ pub fn exhaustive(space: &DesignSpace, evaluator: &dyn Evaluator, limit: u128) -
 /// *last* pick dimension (the final node's fµC) varies fastest and the
 /// first (the MAC payload) slowest.
 ///
-/// This order is what makes single-axis deltas between consecutive
-/// points structural: indices `i` and `i + 1` differ in exactly one
-/// trailing dimension roll, so consecutive points share the MAC
-/// configuration and every node but the last for runs of
-/// `|CR| × |fµC|` points — the axis-run layout
-/// `Evaluator::evaluate_batch_axis_runs` exploits. Both orders visit
-/// exactly the same point set ([`enumeration_size`] indices, each
-/// decoding a distinct digit vector).
+/// This is the order of [`Evaluator::sweep_axis_major`], and the order
+/// in which the `SoA` whole-space walk visits its leaves: the MAC
+/// configuration, then each node's pick, is a depth-first descent.
+/// Both orders visit exactly the same point set ([`enumeration_size`]
+/// indices, each decoding a distinct digit vector).
 ///
 /// # Panics
 ///
@@ -80,19 +79,19 @@ pub fn point_at_axis_major(space: &DesignSpace, index: u128) -> DesignPoint {
 }
 
 /// Exhaustively evaluates every configuration of `space` like
-/// [`exhaustive`], but enumerating in **axis-major** order
-/// ([`point_at_axis_major`]) and evaluating through
-/// [`Evaluator::evaluate_batch_axis_runs`] — the incremental sweep
-/// mode: consecutive points differ only in the last node's `(CR, fµC)`
-/// pick, so the batch kernel re-evaluates only the lane that single
-/// axis step changes and reuses the shared prefix of each run.
+/// [`exhaustive`], but in **axis-major** order
+/// ([`point_at_axis_major`]) through [`Evaluator::sweep_axis_major`].
+/// The model evaluators walk the `SoA` cell tables on the calling
+/// thread: no point is built unless it enters the archive, and an
+/// infeasible subtree is counted without being visited.
 ///
 /// Visits exactly the same point set as [`exhaustive`] with the same
 /// `evaluations`/`infeasible` counts and the same *set* of
-/// non-dominated objective vectors. The archive's entry order (and
-/// therefore which payload represents an objective tie) follows the
-/// axis-major insertion order, which differs from `exhaustive`'s —
-/// compare fronts as sets, the way the parity tests do.
+/// non-dominated objective vectors. The archive's entries, their order
+/// and payloads are those of a serial pass in axis-major order; that
+/// order differs from `exhaustive`'s, and so does which payload
+/// represents an objective tie (the first one enumerated). Compare the
+/// two fronts as sets, the way the parity tests do.
 ///
 /// # Panics
 ///
@@ -103,36 +102,55 @@ pub fn exhaustive_incremental(
     evaluator: &dyn Evaluator,
     limit: u128,
 ) -> SearchResult {
-    sweep(space, evaluator, limit, DigitOrder::LastFastest)
+    archive_sweep(space, limit, |visit| evaluator.sweep_axis_major(space, visit))
 }
 
-/// The sweep loop behind [`exhaustive`] (`FirstFastest`, plain batches)
-/// and [`exhaustive_incremental`] (`LastFastest`, axis-run batches).
-///
-/// An odometer cursor steps through the space in `order`
-/// ([`DesignSpace::step_point`]: a carry chain rewriting only the picks
-/// that roll, no index decode) and refills one reused [`BATCH`]-point
-/// buffer per round. The evaluator fans each batch out across cores
-/// through its `SoA` kernel (the axis-run kernel for the axis-major
-/// order). Archive insertion stays in enumeration order, so the
-/// result is bit-identical to the serial pass; a [`RejectFilter`] turns
-/// the common rejected insert into one comparison, and a point is cloned
-/// out of the buffer only when it enters the archive.
-fn sweep(
+/// Runs `sweep` over a space of at most `limit` points and archives the
+/// feasible points it visits, in visit order. A [`RejectFilter`] turns
+/// the common rejected insert into one comparison, and a point is built
+/// only when it enters the archive.
+fn archive_sweep(
     space: &DesignSpace,
-    evaluator: &dyn Evaluator,
     limit: u128,
-    order: DigitOrder,
+    sweep: impl FnOnce(&mut SweepVisitor<'_>) -> u64,
 ) -> SearchResult {
     let total = enumeration_size(space);
     assert!(total <= limit, "space holds {total} points, above the exhaustive limit {limit}");
     // Exhaustive enumeration never revisits a genome: no memo needed.
-    let mut result =
-        SearchResult { front: ParetoArchive::new(), evaluations: 0, infeasible: 0, memo_hits: 0 };
-    if total == 0 {
-        return result;
-    }
+    let mut front = ParetoArchive::new();
     let mut filter = RejectFilter::default();
+    let infeasible = if total == 0 {
+        0
+    } else {
+        sweep(&mut |objectives, point| {
+            filter.insert(&mut front, objectives, point);
+        })
+    };
+    let evaluations = u64::try_from(total).expect("an enumerable space counts in u64");
+    SearchResult { front, evaluations, infeasible, memo_hits: 0 }
+}
+
+/// The batch sweep loop: [`exhaustive`]'s (`FirstFastest`) and the
+/// default [`Evaluator::sweep_axis_major`] (`LastFastest`). Returns the
+/// number of infeasible points.
+///
+/// An odometer cursor steps through the space in `order`
+/// ([`DesignSpace::step_point`]: a carry chain rewriting only the picks
+/// that roll, no index decode) and refills one reused [`BATCH`]-point
+/// buffer per round, which [`Evaluator::evaluate_batch`] fans out across
+/// cores. Feasible points reach `visit` in enumeration order, so the
+/// stream is that of the serial pass.
+pub(crate) fn batch_sweep<E: Evaluator + ?Sized>(
+    evaluator: &E,
+    space: &DesignSpace,
+    order: DigitOrder,
+    visit: &mut SweepVisitor<'_>,
+) -> u64 {
+    let total = enumeration_size(space);
+    let mut infeasible = 0;
+    if total == 0 {
+        return infeasible;
+    }
     let mut cursor = space.point_at(0);
     let mut digits = vec![0usize; space.dimension_radices().len()];
     let mut points =
@@ -145,29 +163,30 @@ fn sweep(
             slot.clone_from(&cursor);
             space.step_point(&mut cursor, &mut digits, order);
         }
-        let outcomes = match order {
-            DigitOrder::FirstFastest => evaluator.evaluate_batch(&points),
-            DigitOrder::LastFastest => evaluator.evaluate_batch_axis_runs(&points),
-        };
-        for (point, outcome) in points.iter().zip(outcomes) {
+        for (point, outcome) in points.iter().zip(evaluator.evaluate_batch(&points)) {
             match outcome {
-                Some(obj) => {
-                    filter.insert(&mut result.front, obj, || point.clone());
-                }
-                None => result.infeasible += 1,
+                Some(objectives) => visit(objectives, &|| point.clone()),
+                None => infeasible += 1,
             }
         }
-        result.evaluations += count as u64;
         next += count as u128;
     }
-    result
+    infeasible
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluator::ModelEvaluator;
+    use crate::evaluator::{EnergyDelayEvaluator, LifetimeEvaluator, ModelEvaluator};
     use crate::nsga2::{nsga2, Nsga2Config};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use wbsn_model::evaluate::WbsnModel;
+    use wbsn_model::shimmer::CompressionKind;
+    use wbsn_model::soa::SoaScratch;
+    use wbsn_model::space::{CR_AXIS, F_MCU_AXIS_HZ, PAYLOAD_AXIS};
+    use wbsn_model::units::Hertz;
 
     fn tiny_space() -> DesignSpace {
         let mut space = DesignSpace::case_study(2);
@@ -284,9 +303,9 @@ mod tests {
 
     /// A tiny space salted with infeasible axis values: 1 and 2 MHz
     /// clocks overflow the DWT duty cycle and tight superframe orders
-    /// overflow bandwidth/GTS capacity, so the incremental sweep's
-    /// fallback paths (dead run heads, per-variant infeasibility inside
-    /// an alive run) are all exercised, not just the feasible fast path.
+    /// overflow bandwidth/GTS capacity, so the walk's dead subtrees
+    /// (dead prefix picks as well as dead leaves) are exercised, not
+    /// just its feasible leaves.
     fn error_heavy_space() -> DesignSpace {
         let mut space = DesignSpace::case_study(2);
         space.cr_values = vec![0.17, 0.38];
@@ -342,7 +361,7 @@ mod tests {
 
     /// Consecutive axis-major points form axis runs: within a run of
     /// `|CR| × |fµC|` points, the MAC configuration and every node but
-    /// the last are shared.
+    /// the last are shared — the leaves of one prefix in the walk.
     #[test]
     fn axis_major_neighbors_share_the_prefix() {
         let space = tiny_space();
@@ -359,12 +378,15 @@ mod tests {
         }
     }
 
-    /// Reference sweep sharing no code with [`sweep`]: decode every index
-    /// on its own, evaluate it with the scalar model and plainly
-    /// `insert` every feasible point — no odometer, no reject filter, no
-    /// batching.
-    fn reference_sweep(space: &DesignSpace, order: DigitOrder) -> SearchResult {
-        let eval = ModelEvaluator::shimmer();
+    /// Reference sweep sharing no code with the sweeps: decode every
+    /// index on its own, evaluate it with the scalar `evaluate` of
+    /// `eval` and plainly `insert` every feasible point — no odometer,
+    /// no reject filter, no batching, no walk.
+    fn reference_sweep(
+        space: &DesignSpace,
+        order: DigitOrder,
+        eval: &dyn Evaluator,
+    ) -> SearchResult {
         let mut result = SearchResult {
             front: ParetoArchive::new(),
             evaluations: 0,
@@ -399,7 +421,7 @@ mod tests {
         for space in [tiny_space(), error_heavy_space()] {
             for (order, sweep) in sweeps {
                 let fast = sweep(&space, &ModelEvaluator::shimmer(), 100_000);
-                let reference = reference_sweep(&space, order);
+                let reference = reference_sweep(&space, order, &ModelEvaluator::shimmer());
                 assert_eq!(fast.evaluations, reference.evaluations, "{order:?}");
                 assert_eq!(fast.infeasible, reference.infeasible, "{order:?}");
                 assert_eq!(fast.front.entries(), reference.front.entries(), "{order:?}");
@@ -407,10 +429,94 @@ mod tests {
         }
     }
 
-    /// The incremental sweep through the axis-run kernel is bit-identical
-    /// (entries, order, payloads, counters) to the same axis-major
-    /// enumeration through the serial reference evaluator — the run
-    /// fast path must be invisible.
+    /// Draws a random space of at most ~5k points for the walk: 1–3
+    /// nodes of random kinds over random subsets of the canonical CR,
+    /// fµC and payload axes and of the canonical `(SFO, BCO)` pairs.
+    /// Low clocks kill nodes by duty cycle, heavy CRs and a lossy
+    /// channel overflow bandwidth and GTS capacity, and some spaces
+    /// carry an `SFO > BCO` pair (a MAC that fails validation). With
+    /// `off_axis`, one CR (0.175) or payload (120) leaves the canonical
+    /// axes, so the walk must refuse the space.
+    fn random_walk_space(rng: &mut StdRng, off_axis: bool) -> DesignSpace {
+        fn subset<T: Copy>(rng: &mut StdRng, axis: &[T], max: usize) -> Vec<T> {
+            let mut picked: Vec<T> = axis.iter().copied().filter(|_| rng.gen_bool(0.5)).collect();
+            while picked.len() > max {
+                picked.remove(rng.gen_range(0..picked.len()));
+            }
+            if picked.is_empty() {
+                picked.push(axis[rng.gen_range(0..axis.len())]);
+            }
+            picked
+        }
+        let nodes = rng.gen_range(1..=3usize);
+        let mut space = DesignSpace::case_study(nodes);
+        space.node_kinds = (0..nodes)
+            .map(|_| if rng.gen_bool(0.5) { CompressionKind::Dwt } else { CompressionKind::Cs })
+            .collect();
+        // Per-node picks small enough that picks^nodes stays ≤ 64.
+        let max_picks = [0, 64, 8, 4][nodes];
+        space.f_mcu_values =
+            subset(rng, &F_MCU_AXIS_HZ, max_picks.min(4)).into_iter().map(Hertz::new).collect();
+        space.cr_values = subset(rng, &CR_AXIS, max_picks / space.f_mcu_values.len());
+        space.payload_values = subset(rng, &PAYLOAD_AXIS, 3);
+        space.order_pairs = subset(rng, &space.order_pairs, 20);
+        if rng.gen_bool(0.5) {
+            space.order_pairs.insert(rng.gen_range(0..=space.order_pairs.len()), (7, 5));
+        }
+        if off_axis {
+            if rng.gen_bool(0.5) {
+                space.cr_values.push(0.175);
+            } else {
+                space.payload_values.push(120);
+            }
+        }
+        space
+    }
+
+    proptest! {
+        // The axis-major sweep of every model lane equals the plain
+        // reference loop on random small spaces: objective bits, entry
+        // order, payloads and both counters. On-axis spaces go through
+        // the whole-space walk, off-axis ones through the default batch
+        // loop.
+        #[test]
+        fn walk_sweeps_equal_the_plain_reference_loop(seed in 0u64..1 << 48) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let off_axis = rng.gen_bool(0.25);
+            let space = random_walk_space(&mut rng, off_axis);
+            let loss = [0.0, 0.3, 0.6][rng.gen_range(0..3usize)];
+            let model = WbsnModel::shimmer().with_packet_error_rate(loss);
+            let walked = model.sweep_axis_major(&space, &mut SoaScratch::new(), |_| {});
+            prop_assert_eq!(walked.is_some(), !off_axis);
+            let lanes: [&dyn Evaluator; 3] = [
+                &ModelEvaluator::new(model.clone()),
+                &EnergyDelayEvaluator::new(model.clone()),
+                &LifetimeEvaluator::new(model, wbsn_model::lifetime::Battery::shimmer()),
+            ];
+            for eval in lanes {
+                let fast = exhaustive_incremental(&space, eval, 100_000);
+                let reference = reference_sweep(&space, DigitOrder::LastFastest, eval);
+                prop_assert_eq!(fast.evaluations, reference.evaluations);
+                prop_assert_eq!(fast.infeasible, reference.infeasible);
+                let bits = |r: &SearchResult| -> Vec<(Vec<u64>, DesignPoint)> {
+                    r.front
+                        .entries()
+                        .iter()
+                        .map(|e| {
+                            let bits = e.objectives.values().iter().map(|v| v.to_bits()).collect();
+                            (bits, e.payload.clone())
+                        })
+                        .collect()
+                };
+                prop_assert_eq!(bits(&fast), bits(&reference));
+            }
+        }
+    }
+
+    /// The incremental sweep through the whole-space walk is
+    /// bit-identical (entries, order, payloads, counters) to the same
+    /// axis-major enumeration through the serial reference evaluator's
+    /// default batch loop — the walk must be invisible.
     #[test]
     fn incremental_sweep_is_bit_identical_to_serial_axis_major() {
         for space in [tiny_space(), error_heavy_space()] {

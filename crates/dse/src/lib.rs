@@ -15,23 +15,24 @@
 //!   [`memo::ShardedGenomeMemo`] is its lock-sharded thread-safe form
 //!   for concurrent consumers (the `wbsn-serve` worker pool);
 //! * [`evaluator`] — the proposed 3-objective model and the
-//!   energy/delay-only state-of-the-art baseline ([26]), both with a
+//!   energy/delay-only state-of-the-art baseline (\[26\]), both with a
 //!   [`Evaluator::evaluate_batch`] running every batch through the
 //!   struct-of-arrays kernel `WbsnModel::evaluate_objectives_batch`,
 //!   inline up to one chunk and fanned out per chunk across cores
 //!   above it;
 //! * [`parallel`] — the scoped-thread work-stealing map behind batch
 //!   evaluation;
-//! * [`nsga2`] — elitist non-dominated sorting GA, one evaluation batch
+//! * [`nsga2`](mod@nsga2) — elitist non-dominated sorting GA, one evaluation batch
 //!   per generation (bit-identical to serial for a fixed seed);
-//! * [`mosa`] — multi-objective simulated annealing ([27]), a random
+//! * [`mosa`](mod@mosa) — multi-objective simulated annealing (\[27\]), a random
 //!   search baseline, and parallel independent restarts
 //!   ([`mosa::mosa_restarts`]);
 //! * [`quality`] — C-metric, Pareto membership, hypervolume;
 //! * [`truth`] — exact ground-truth fronts per reduced scenario
-//!   (computed by the axis-major incremental exhaustive sweep,
-//!   golden-snapshotted) and the search-quality harness gating
-//!   NSGA-II/MOSA on hypervolume ratio + front coverage vs truth.
+//!   (computed by the axis-major exhaustive sweep, which the model
+//!   evaluators run as the `SoA` whole-space walk; golden-snapshotted)
+//!   and the search-quality harness gating NSGA-II/MOSA on hypervolume
+//!   ratio + front coverage vs truth.
 //!
 //! ```no_run
 //! use wbsn_dse::evaluator::ModelEvaluator;

@@ -1,5 +1,5 @@
 //! Multi-objective simulated annealing (the paper's second optimizer,
-//! §5.2, citing Nam & Park [27]).
+//! §5.2, citing Nam & Park \[27\]).
 //!
 //! Archive-based acceptance: a candidate that is not dominated by the
 //! current solution is always accepted; a dominated candidate is accepted

@@ -1,6 +1,6 @@
 //! NSGA-II: elitist non-dominated sorting genetic algorithm.
 //!
-//! The paper employs genetic algorithms for the DSE (§5.2, citing [3]);
+//! The paper employs genetic algorithms for the DSE (§5.2, citing \[3\]);
 //! NSGA-II is the standard multi-objective variant: fast non-dominated
 //! sorting into fronts, crowding-distance diversity preservation, binary
 //! tournament selection and (µ+λ) elitism. Infeasible configurations are

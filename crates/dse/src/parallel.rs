@@ -58,6 +58,11 @@ pub fn num_threads() -> usize {
 /// the batches started on the thread that opened the scope, and other
 /// threads (helpers spawned inside the scope included) keep their own
 /// setting.
+///
+/// It does not change the axis-major exact-front sweep
+/// (`exhaustive_incremental`, `TruthFront::compute`) of the model
+/// evaluators: their whole-space walk always runs on the calling
+/// thread.
 pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     struct Restore(usize);
     impl Drop for Restore {
@@ -79,7 +84,7 @@ pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
 ///
 /// The work-unit size adapts to the batch: large batches use big blocks
 /// (amortizing the atomic fetch), while a 100-point NSGA-II generation
-/// still shards into [`MIN_BLOCK`]-item units so every core gets work.
+/// still shards into 16-item units so every core gets work.
 ///
 /// # Panics
 ///

@@ -13,7 +13,8 @@
 //!
 //! Each scenario is a *reduced, fully on-axis* slice of the canonical
 //! case study — every axis value sits on the dense-interning axes, so
-//! the exhaustive sweep runs entirely through the `SoA` fast path:
+//! the exhaustive sweep runs entirely through the `SoA` whole-space
+//! walk:
 //!
 //! - **paper-2node** — the full canonical axes on a 2-node deployment
 //!   (813 120 points): the complete per-node trade space at the
@@ -159,8 +160,10 @@ pub struct TruthFront {
 
 impl TruthFront {
     /// Computes the exact front by exhaustive enumeration through the
-    /// axis-major incremental sweep (property-tested bit-identical to
-    /// the canonical sweep and the scalar reference).
+    /// axis-major sweep, [`exhaustive_incremental`]: the model
+    /// evaluators walk the `SoA` cell tables on the calling thread. The
+    /// sweep is property-tested equal to a plain scalar reference loop
+    /// and to the canonical sweep's front.
     ///
     /// # Panics
     ///

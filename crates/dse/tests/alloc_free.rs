@@ -15,6 +15,9 @@
 //!   interned grid/MAC/cell tables and per-batch buffers;
 //! * `WbsnModel::evaluate_batch_full` writes the per-node lanes into a
 //!   reused `FullEvalOut`;
+//! * `WbsnModel::sweep_axis_major` (the whole-space walk) keeps its
+//!   cell copies, digits, per-node lanes and subtree sizes in the
+//!   scratch;
 //! * `ObjectiveVector::from_slice` is an inline `Copy` value.
 //!
 //! This file holds a single `#[test]` so no sibling test thread can
@@ -66,6 +69,7 @@ fn batch_decode_and_evaluate_are_allocation_free_in_steady_state() {
     fastpath_sweep_loop_is_allocation_free_once_warm();
     soa_batch_path_is_allocation_free_in_steady_state();
     full_eval_batch_path_is_allocation_free_in_steady_state();
+    whole_space_walk_is_allocation_free_once_warm();
     genome_decode_and_objective_construction_are_allocation_free();
 }
 
@@ -154,6 +158,36 @@ fn full_eval_batch_path_is_allocation_free_in_steady_state() {
     let delta = allocations() - before;
     assert_eq!(out.outcomes().iter().filter(|o| o.is_ok()).count(), feasible_warm);
     assert_eq!(delta, 0, "full batch steady state performed {delta} heap allocations");
+}
+
+// Called from the single #[test] above. The first walk of a space
+// interns its MACs and node picks and sizes the walk's buffers in the
+// scratch; a second walk of the same space through the warm scratch,
+// with a visitor that allocates nothing, must allocate nothing.
+fn whole_space_walk_is_allocation_free_once_warm() {
+    let model = WbsnModel::shimmer();
+    let space = wbsn_dse::truth::wide_6node_slice().space;
+    let mut scratch = SoaScratch::new();
+    let walk = |scratch: &mut SoaScratch| {
+        let mut feasible = 0u64;
+        let mut checksum = 0u64;
+        let infeasible = model
+            .sweep_axis_major(&space, scratch, |leaf| {
+                feasible += 1;
+                checksum ^= leaf.objectives.energy.to_bits() ^ leaf.digits[2] as u64;
+            })
+            .expect("the slice is on the dense axes");
+        (feasible, infeasible, checksum)
+    };
+
+    let warm = walk(&mut scratch);
+    assert!(warm.0 > 0 && warm.1 > 0, "the slice has feasible and infeasible points");
+
+    let before = allocations();
+    let again = walk(&mut scratch);
+    let delta = allocations() - before;
+    assert_eq!(again, warm);
+    assert_eq!(delta, 0, "warm whole-space walk performed {delta} heap allocations");
 }
 
 // Called from the single #[test] above: a second parallel test thread

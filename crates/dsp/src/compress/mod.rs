@@ -2,8 +2,8 @@
 //!
 //! * [`DwtCodec`] — transform coding: keep the largest wavelet
 //!   coefficients within the bit budget implied by the compression ratio
-//!   ([23]: "fixed percentage of wavelet coefficients to be zeroed").
-//! * [`CsCodec`] — compressed sensing [13]: random ±1 projections on the
+//!   (\[23\]: "fixed percentage of wavelet coefficients to be zeroed").
+//! * [`CsCodec`] — compressed sensing \[13\]: random ±1 projections on the
 //!   sensor, sparse reconstruction (FISTA or OMP) at the coordinator.
 //!
 //! Both codecs share the paper's rate convention: a compression ratio

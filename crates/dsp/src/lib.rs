@@ -10,7 +10,7 @@
 //!   db4/sym4) with periodized boundaries and perfect reconstruction.
 //! * [`quantize`] — the 12-bit A/D model and uniform quantizers.
 //! * [`compress`] — the two compression applications of the paper:
-//!   threshold-based DWT compression [23] and compressed sensing [13]
+//!   threshold-based DWT compression \[23\] and compressed sensing \[13\]
 //!   with FISTA/OMP reconstruction.
 //! * [`metrics`] — PRD and friends, the quality metrics behind Fig. 4.
 //!

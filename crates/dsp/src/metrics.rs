@@ -2,7 +2,7 @@
 //!
 //! The paper's application-quality objective is the *percentage
 //! root-mean-square difference* (PRD) between the original ECG and the
-//! signal reconstructed at the coordinator [13].
+//! signal reconstructed at the coordinator \[13\].
 
 /// Percentage root-mean-square difference:
 /// `PRD = 100 · sqrt(Σ(x−x̂)² / Σx²)`.

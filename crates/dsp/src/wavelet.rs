@@ -1,7 +1,7 @@
 //! Orthogonal discrete wavelet transforms with periodized boundaries.
 //!
-//! The DWT compression application [23] and the sparsifying basis of the
-//! compressed-sensing reconstruction [13] both need a real wavelet
+//! The DWT compression application \[23\] and the sparsifying basis of the
+//! compressed-sensing reconstruction \[13\] both need a real wavelet
 //! transform. This module implements the classic orthogonal filter-bank
 //! DWT (Haar, Daubechies 2–4, Symlet 4) in "periodization" mode: an input
 //! of even length `n` maps to `n/2 + n/2` coefficients and reconstructs

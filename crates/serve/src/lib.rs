@@ -65,7 +65,7 @@
 //! # Fault injection
 //!
 //! With the `chaos` cargo feature the engine consults an optional
-//! deterministic [`chaos::ChaosSchedule`] — injected panics, per-chunk
+//! deterministic `chaos::ChaosSchedule` — injected panics, per-chunk
 //! slowness, forced queue saturation, keyed by submission sequence
 //! number and chunk index. The crate's own tests enable the feature
 //! via a self dev-dependency; production consumers compile a hook-free

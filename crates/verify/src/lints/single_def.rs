@@ -6,9 +6,9 @@
 //! that fixed order — is what makes every evaluation route return
 //! bit-identical `Err` values. The scalar reference spells it out in
 //! `assign_slots_into`; the `SoA` layer re-derives it once, in
-//! `walk_point`, and every batch kernel (objectives, axis runs, full)
-//! funnels through that single copy. A third copy would be a fork
-//! waiting to drift.
+//! `walk_point`, and both batch kernels (objectives, full) funnel
+//! through that single copy. The whole-space walk needs only verdicts
+//! and names no error. A third copy would be a fork waiting to drift.
 //!
 //! Detection: any non-test function mentioning **both**
 //! `BandwidthExceeded` and `GtsCapacityExceeded` is a resolution site

@@ -47,11 +47,18 @@
 //!   across all cores above it (scoped threads, one pooled kernel
 //!   scratch per worker). NSGA-II evaluates each generation's fresh
 //!   genomes as one batch (about 36 on the default coarse 3-node run,
-//!   so it runs inline on the calling thread), exhaustive search steps
-//!   an odometer through the space
+//!   so it runs inline on the calling thread), [`dse::exhaustive::exhaustive`]
+//!   steps an odometer through the space
 //!   ([`model::space::DesignSpace::step_point`]) into reused
 //!   multi-chunk batches, and [`dse::mosa::mosa_restarts`] runs
-//!   independent annealing chains concurrently. Evaluation consumes no
+//!   independent annealing chains concurrently.
+//! * [`dse::Evaluator::sweep_axis_major`] — the axis-major exact-front
+//!   sweep behind [`dse::exhaustive::exhaustive_incremental`] and
+//!   [`dse::TruthFront::compute`]. The model evaluators run it as the
+//!   `SoA` whole-space walk
+//!   ([`model::evaluate::WbsnModel::sweep_axis_major`]) on the calling
+//!   thread: no design point is built unless it enters the archive,
+//!   and a subtree of infeasible points is counted without a visit. Evaluation consumes no
 //!   randomness, so seeded searches are bit-identical whether batches
 //!   execute serially or in parallel.
 //!
